@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchhot benchgate benchtrace benchobs benchsim benchserve ci eval sweep traces faultscenarios faultgolden campaign-smoke live-smoke chaossmoke crashmatrix tracereport clean
+.PHONY: all build test race bench benchhot benchgate benchtrace benchobs benchsim benchserve ci eval sweep traces faultscenarios faultgolden smoke crashmatrix tracereport clean
 
 all: build test race
 
@@ -16,49 +16,28 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The full gate a change must pass before merging: clean build, vet,
-# the whole suite under the race detector (the parallel evaluation
-# pipeline makes -race part of correctness, not an optional extra), the
-# trace-decoder fuzz seeds as plain regression tests, the telemetry
-# invariants — concurrent registry use under -race and the determinism
-# guard (telemetry on == telemetry off, byte for byte) — plus the fault
-# harness's two contracts: an empty scenario perturbs nothing
-# (NoFaultDeterminism) and the shipped scenarios reproduce their golden
-# degradation curves byte for byte (faultscenarios) — and the campaign
-# runner's crash-safety contracts: resume is byte-identical, panics are
-# isolated and journaled, cancellation drains cleanly, and the stall
-# watchdog fires (all under -race), finishing with an end-to-end
-# interrupt/resume smoke of the campaign binary itself plus the live
-# observability smoke (cmd/livesmoke): campaign run -listen, /metrics
-# and /progress scraped mid-run, graceful SIGINT, clean resume — and
-# the daemon chaos smoke (cmd/chaossmoke): idsevald SIGKILLed
-# mid-stream, restarted, resumed from the durable ack point, scorecard
-# byte-identical to an uninterrupted run — and the storage-fault matrix
-# (crashmatrix): every commit point in fsio, the campaign runner, and
-# idsevald crossed with every single-fault schedule a hostile disk can
-# produce, recovery verified after each one. The
-# batched-scan differential fuzz seeds run as regression tests alongside
-# the trace decoder's, and benchgate holds signature-scan throughput
-# within 15% of the committed BENCH_hotpath.json baseline, sharded-
-# kernel events/sec within 15% of BENCH_sim.json, and the telemetry
-# disabled path within the BENCH_obs.json ns/op bound at exactly zero
-# allocations. The shard coordinator's
-# barrier protocol runs explicitly under -race: every Sharded* test
-# (worker-pool windows, cross-domain links, the at-scale determinism
-# pins) with parallel executors exercising the mailbox handoff.
+# The full gate a change must pass before merging. Each step runs once:
+# - build and vet;
+# - the whole suite under the race detector, uncached (-count=1). The
+#   parallel evaluation pipeline makes -race part of correctness. This
+#   one pass covers the fuzz seed corpora as regression tests, the
+#   telemetry and fault determinism guards, the campaign crash-safety
+#   contracts and the shard coordinator's barrier protocol;
+# - faultscenarios: the shipped fault scenarios reproduce their golden
+#   degradation curves byte for byte;
+# - smoke: the campaign, live-observability and idsevald chaos
+#   scenarios against the built binaries (cmd/smoke);
+# - crashmatrix: every storage commit point crossed with every
+#   single-fault schedule a hostile disk can produce (cmd/crashtorture);
+# - benchgate: hot-path MB/s and sharded events/sec within 15% of their
+#   committed baselines, the telemetry disabled path within its ns/op
+#   bound at zero allocations, and idsevald ingest allocs/op.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(GO) test -race ./...
-	$(GO) test -run Fuzz ./internal/trace/ ./internal/detect/
-	$(GO) test -race -run 'ConcurrentRegistryUse|DisabledPathAllocFree' ./internal/obs/
-	$(GO) test -race -run 'TelemetryDeterminism|ReplayStdout|NoFaultDeterminism|FaultSweepReproducible' ./internal/eval/
-	$(GO) test -race -run 'CrashResume|ResumeAfterJournaledPanic|Cancellation|Watchdog|ReplayJournal' ./internal/campaign/
-	$(GO) test -race -count=1 -run 'Sharded|Fabric|CrossLink|Lookahead|LargeTopology' ./internal/simtime/ ./internal/netsim/ ./internal/eval/ ./internal/report/
+	$(GO) test -race -count=1 ./...
 	$(MAKE) faultscenarios
-	$(MAKE) campaign-smoke
-	$(MAKE) live-smoke
-	$(MAKE) chaossmoke
+	$(MAKE) smoke
 	$(MAKE) crashmatrix
 	$(MAKE) benchgate
 
@@ -127,7 +106,7 @@ benchsim:
 # counts, and the replay live-heap comparison), captured as JSON so
 # successive runs can be diffed across commits.
 benchtrace:
-	$(GO) test -run=NONE -bench='StreamEncode|StreamDecode|StreamDecodePipelined|ReplayLiveHeap|BinaryWrite|BinaryRead' \
+	$(GO) test -run=NONE -bench='StreamEncode|StreamDecode|StreamDecodePipelined|ReplayLiveHeap' \
 		-benchmem -count=1 -json ./internal/trace/ > BENCH_trace.json
 	@grep -o '"Output":"Benchmark[^"]*' BENCH_trace.json | sed 's/"Output":"//;s/\\t/\t/g;s/\\n//' || true
 	@echo "wrote BENCH_trace.json"
@@ -193,53 +172,19 @@ faultgolden:
 		echo "wrote examples/faults/golden/$$s.txt"; \
 	done
 
-CAMPAIGN_DIR := /tmp/repro-campaign-smoke
+SMOKE_DIR := /tmp/repro-smoke
 
-# End-to-end crash-safety smoke: plan a tiny campaign, stop it
-# deterministically after one committed experiment (-max 1 stands in
-# for a Ctrl-C at an arbitrary instant), resume, and require the
-# resumed run to report every experiment committed.
-campaign-smoke:
-	rm -rf $(CAMPAIGN_DIR)
-	$(GO) run ./cmd/campaign plan -dir $(CAMPAIGN_DIR) -quick -seed 11 \
-		-products NetRecorder -sweep-points 2
-	$(GO) run ./cmd/campaign run -dir $(CAMPAIGN_DIR) -max 1 > $(CAMPAIGN_DIR)/run.out
-	grep -q '1/2 experiments committed' $(CAMPAIGN_DIR)/run.out
-	$(GO) run ./cmd/campaign resume -dir $(CAMPAIGN_DIR) > $(CAMPAIGN_DIR)/resume.out
-	grep -q '2/2 experiments complete' $(CAMPAIGN_DIR)/resume.out
-	$(GO) run ./cmd/campaign status -dir $(CAMPAIGN_DIR)
-	rm -rf $(CAMPAIGN_DIR)
-
-LIVESMOKE_DIR := /tmp/repro-live-smoke
-
-# Live observability-plane smoke: cmd/livesmoke plans a campaign, runs
-# it with -listen 127.0.0.1:0, scrapes /healthz, /metrics, and
-# /progress mid-run, interrupts with SIGINT, and requires a graceful
-# exit plus a clean resume to full completion.
-live-smoke:
-	rm -rf $(LIVESMOKE_DIR)
-	mkdir -p $(LIVESMOKE_DIR)
-	$(GO) build -o $(LIVESMOKE_DIR)/campaign.bin ./cmd/campaign
-	$(GO) run ./cmd/livesmoke -bin $(LIVESMOKE_DIR)/campaign.bin \
-		-dir $(LIVESMOKE_DIR)/campaign.d
-	rm -rf $(LIVESMOKE_DIR)
-
-CHAOSSMOKE_DIR := /tmp/repro-chaos-smoke
-
-# Crash-tolerance smoke for the evaluation daemon: cmd/chaossmoke
-# generates a trace, takes a reference scorecard from an uninterrupted
-# idsevald, then SIGKILLs a second daemon mid-stream, restarts it on
-# the same directory, resumes the upload from the durable ack point,
-# and requires the resumed scorecard byte-identical to the reference
-# plus an exactly-balanced shed ledger at drain.
-chaossmoke:
-	rm -rf $(CHAOSSMOKE_DIR)
-	mkdir -p $(CHAOSSMOKE_DIR)
-	$(GO) build -o $(CHAOSSMOKE_DIR)/idsevald.bin ./cmd/idsevald
-	$(GO) build -o $(CHAOSSMOKE_DIR)/trafficgen.bin ./cmd/trafficgen
-	$(GO) run ./cmd/chaossmoke -bin $(CHAOSSMOKE_DIR)/idsevald.bin \
-		-gen $(CHAOSSMOKE_DIR)/trafficgen.bin -dir $(CHAOSSMOKE_DIR)/chaos.d
-	rm -rf $(CHAOSSMOKE_DIR)
+# End-to-end smoke of the built binaries: cmd/smoke runs the campaign
+# interrupt/resume, live-observability and idsevald chaos scenarios in
+# sequence (see its package comment for every check).
+smoke:
+	rm -rf $(SMOKE_DIR)
+	mkdir -p $(SMOKE_DIR)/bin
+	$(GO) build -o $(SMOKE_DIR)/bin/ ./cmd/campaign ./cmd/idsevald ./cmd/trafficgen
+	$(GO) run ./cmd/smoke -campaign $(SMOKE_DIR)/bin/campaign \
+		-idsevald $(SMOKE_DIR)/bin/idsevald -trafficgen $(SMOKE_DIR)/bin/trafficgen \
+		-dir $(SMOKE_DIR)/run
+	rm -rf $(SMOKE_DIR)
 
 # Storage-fault matrix: cmd/crashtorture probes each workload's exact
 # filesystem-operation trace, then replays it once per (operation ×
@@ -264,12 +209,11 @@ tracereport:
 
 # Canned-trace workflow (Lesson 2).
 traces:
-	$(GO) run ./cmd/trafficgen -o /tmp/eval.idtr -seconds 60 -pps 600
-	$(GO) run ./cmd/replay -trace /tmp/eval.idtr -product TrueSecure
+	$(GO) run ./cmd/trafficgen -o /tmp/eval.idt2 -seconds 60 -pps 600
+	$(GO) run ./cmd/replay -trace /tmp/eval.idt2 -product TrueSecure
 
-# BENCH_hotpath.json, BENCH_sim.json, and BENCH_obs.json are NOT
-# cleaned: they are the committed benchgate baselines, regenerated
-# deliberately via `make benchhot` / `make benchsim` / `make benchobs`.
+# The BENCH_*.json files are NOT cleaned: they are committed baselines,
+# regenerated deliberately via their bench* targets.
 clean:
 	$(GO) clean ./...
-	rm -f test_output.txt bench_output.txt BENCH_trace.json trace_sharded.json
+	rm -f test_output.txt bench_output.txt trace_sharded.json

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	trafficgen -o trace.idtr [-profile ecommerce|cluster] [-seconds 60]
+//	trafficgen -o trace.idt2 [-profile ecommerce|cluster] [-seconds 60]
 //	           [-pps 600] [-seed 21] [-attacks] [-strength 1.0]
 //	           [-random-payloads] [-json] [-hosts 6] [-external 3]
 //	           [-segments 0] [-timeout 5m] [-telemetry]

@@ -75,7 +75,7 @@ func TestPlanIDsAreDeterministic(t *testing.T) {
 	spec := &campaign.Spec{
 		Name: "p", Seed: 3, Products: []string{a, b}, Evals: true, SweepPoints: 3,
 		FaultScenarios: []string{"examples/faults/span-degrade.json"}, FaultPoints: 2,
-		Traces: []string{"t1.idtr"},
+		Traces: []string{"t1.idt2"},
 	}
 	first, err := spec.Plan()
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -131,35 +130,21 @@ func (r *Runner) faultOpts(ex Experiment) eval.FaultSweepOptions {
 	return opts
 }
 
-// runTrace replays a trace file against the product, sniffing the
-// encoding by magic exactly as cmd/replay does.
+// runTrace streams an IDT2 trace file through the product, as
+// cmd/replay does.
 func (r *Runner) runTrace(ctx context.Context, spec products.Spec, path string) (*eval.AccuracyResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
 	defer f.Close()
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return nil, fmt.Errorf("campaign: reading %s: %w", path, err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
+	rd, err := trace.NewReader(f)
+	if err != nil {
+		return nil, err
 	}
 	trainFor := 15 * time.Second
 	if r.Spec.Quick {
 		trainFor = 6 * time.Second
 	}
-	if trace.SniffStream(magic[:]) {
-		rd, err := trace.NewReader(f)
-		if err != nil {
-			return nil, err
-		}
-		return eval.RunTraceAccuracyStream(ctx, spec, rd, r.Spec.Sensitivity, trainFor, r.Spec.Seed, nil)
-	}
-	tr, err := trace.ReadBinary(f)
-	if err != nil {
-		return nil, err
-	}
-	return eval.RunTraceAccuracy(ctx, spec, tr, r.Spec.Sensitivity, trainFor, r.Spec.Seed)
+	return eval.RunTraceAccuracyStream(ctx, spec, rd, r.Spec.Sensitivity, trainFor, r.Spec.Seed, nil)
 }

@@ -31,9 +31,9 @@ import (
 // The returned error is the error of the lowest-indexed job that
 // reported one — not whichever failure happened to land first — so the
 // surfaced error does not depend on goroutine scheduling whenever the
-// failing job is deterministic. Pure cancellation errors from skipped
-// jobs are ignored unless the parent ctx itself was cancelled and no
-// job failed, in which case ctx.Err() is returned.
+// failing job is deterministic. Cancellation errors are ignored unless
+// the parent ctx itself was cancelled and no job failed, in which case
+// ctx.Err() is returned.
 func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -50,14 +50,13 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	errs := make([]error, n)
 	var next atomic.Int64
 	run := func() {
-		for {
+		// Check before claiming, and run whatever is claimed: indices are
+		// claimed in order, so every job below a failed one was claimed
+		// before that failure and still runs.
+		for ctx.Err() == nil {
 			i := int(next.Add(1) - 1)
 			if i >= n {
 				return
-			}
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				continue
 			}
 			if err := fn(ctx, i); err != nil {
 				errs[i] = err
@@ -92,6 +91,10 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 			continue
 		}
 		return err
+	}
+	if cancelled == nil && next.Load() < int64(n) {
+		// Jobs went unclaimed with no failure: the parent was cancelled.
+		cancelled = ctx.Err()
 	}
 	return cancelled
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Client is the reference ISF2 client used by the tests, cmd/chaossmoke,
+// Client is the reference ISF2 client used by the tests, cmd/smoke,
 // and anyone streaming a trace to idsevald from Go. It is lock-step by
 // design — one frame out, one reply in — which keeps resume trivial:
 // Next always equals the count of chunks the server has durably acked.

@@ -25,7 +25,7 @@
 //     internal/campaign, whose journal line is the commit point; a
 //     daemon killed at any instant and restarted re-runs only the
 //     missing experiments and renders a scorecard byte-identical to an
-//     uninterrupted run (cmd/chaossmoke pins this end to end).
+//     uninterrupted run (cmd/smoke pins this end to end).
 //
 // Backpressure is explicit rather than implicit: admission control caps
 // open streams, the evaluation queue is bounded, and the spool has a

@@ -11,24 +11,22 @@ import (
 	"repro/internal/packet"
 )
 
-// FuzzReadTrace drives both trace decoders — the v1 in-memory reader and
-// the v2 chunked stream reader — over arbitrary input. Neither may
+// FuzzReadTrace drives the IDT2 decoder — the materializing ReadBinary
+// and the chunked stream reader — over arbitrary input. Neither may
 // panic, hang, or allocate unboundedly; malformed input must surface as
 // an error. Valid inputs that decode must re-encode and decode to the
 // same record count (a cheap internal-consistency invariant that needs
 // no reference decoder).
 func FuzzReadTrace(f *testing.F) {
-	// Seed corpus: a real v1 trace, a real v2 stream (two chunk sizes),
-	// an empty v2 stream, assorted truncations, and plain garbage.
+	// Seed corpus: a real v2 stream (two chunk sizes), an empty v2
+	// stream, a stream behind the retired v1 magic, assorted
+	// truncations, and plain garbage.
 	tr := fuzzSeedTrace()
-	var v1 bytes.Buffer
-	if err := tr.WriteBinary(&v1); err != nil {
-		f.Fatal(err)
-	}
 	var v2 bytes.Buffer
 	if err := tr.WriteStream(&v2); err != nil {
 		f.Fatal(err)
 	}
+	retired := append([]byte("IDTR"), v2.Bytes()[4:]...)
 	var v2small bytes.Buffer
 	sw, err := NewWriter(&v2small, tr.Profile, tr.Seed)
 	if err != nil {
@@ -50,14 +48,12 @@ func FuzzReadTrace(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Add(v1.Bytes())
+	f.Add(retired)
 	f.Add(v2.Bytes())
 	f.Add(v2small.Bytes())
 	f.Add(v2empty.Bytes())
 	for _, n := range []int{0, 4, 10, 17, 40} {
-		if n < v1.Len() {
-			f.Add(v1.Bytes()[:n])
-		}
+		f.Add(retired[:n])
 		if n < v2.Len() {
 			f.Add(v2.Bytes()[:n])
 		}
@@ -92,9 +88,13 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(maxed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Compatibility shim: dispatches on magic, must never panic.
-		if tr, err := ReadBinary(bytes.NewReader(data)); err == nil {
+		tr, err := ReadBinary(bytes.NewReader(data))
+		if err == nil {
 			checkReencode(t, tr)
+		}
+		// The magic is checked once the 10 fixed header bytes are in.
+		if len(data) >= 10 && bytes.HasPrefix(data, []byte("IDTR")) && !errors.Is(err, errRetiredV1) {
+			t.Fatalf("retired v1 input: got %v, want the retired-format error", err)
 		}
 		// Stream reader, seekable path (footer index + SeekTo).
 		if rd, err := NewReader(bytes.NewReader(data)); err == nil {
@@ -213,8 +213,8 @@ func checkReencode(t *testing.T, tr *Trace) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := tr.WriteStream(&buf); err != nil {
-		// Decoded traces can still be unencodable (e.g. an oversized
-		// profile string from a hostile v1 file); an error is fine.
+		// Decoded traces can still be unencodable (e.g. a hostile
+		// file whose chunks overlap in time); an error is fine.
 		return
 	}
 	rd, err := NewReader(bytes.NewReader(buf.Bytes()))

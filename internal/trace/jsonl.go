@@ -1,7 +1,7 @@
 // JSON-lines decoding, inverting WriteJSONL. The JSONL form exists for
-// human inspection and interchange; ReadJSONL makes it a full citizen of
-// the format-conversion triangle (JSONL ↔ IDTR ↔ IDT2) so traces can be
-// edited as text and replayed.
+// human inspection and interchange; ReadJSONL makes it convertible to
+// and from IDT2 (JSONL ↔ IDT2) so traces can be edited as text and
+// replayed.
 package trace
 
 import (

@@ -1,11 +1,8 @@
 // IDT2: the streaming chunked binary trace encoding.
 //
-// The v1 format ("IDTR") materializes a whole capture as one []Record of
-// individually heap-allocated packets before a single packet replays,
-// which puts O(capture) memory on the critical path of every accuracy
-// measurement. IDT2 groups records into fixed-size chunks (~4096 records)
-// so that trace I/O is O(chunk): each chunk carries varint-delta
-// timestamps, a per-chunk string table for ground-truth labels, and one
+// IDT2 groups records into fixed-size chunks (~4096 records) so that
+// trace I/O is O(chunk): each chunk carries varint-delta timestamps, a
+// per-chunk string table for ground-truth labels, and one
 // contiguous payload arena that decoded packets slice into — zero payload
 // copies and a constant number of allocations per chunk instead of per
 // packet. A footer indexes every chunk's file offset and time bounds,
@@ -74,10 +71,9 @@ const (
 	trailerLen     = 12            // footer offset u64 + trailer magic u32
 )
 
-// SniffStream reports whether b begins with the IDT2 stream magic.
-func SniffStream(b []byte) bool {
-	return len(b) >= 4 && binary.BigEndian.Uint32(b) == magic2
-}
+// errRetiredV1 rejects a trace in the retired v1 ("IDTR") encoding,
+// which no longer has a reader.
+var errRetiredV1 = errors.New("trace: retired v1 (IDTR) trace format is no longer read; regenerate the trace with trafficgen")
 
 // StreamStats are whole-trace summary statistics accumulated by the
 // Writer and recovered from the footer by a seekable Reader before any
@@ -571,7 +567,11 @@ func (r *Reader) readHeader() error {
 	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
 		return fmt.Errorf("trace: stream header: %w", err)
 	}
-	if binary.BigEndian.Uint32(hdr[0:4]) != magic2 {
+	switch binary.BigEndian.Uint32(hdr[0:4]) {
+	case magic2:
+	case 0x49445452: // "IDTR"
+		return errRetiredV1
+	default:
 		return errors.New("trace: bad stream magic")
 	}
 	if v := binary.BigEndian.Uint32(hdr[4:8]); v != version2 {
@@ -1173,10 +1173,11 @@ func remainingBytes(br *bufio.Reader, r io.Reader) (uint64, bool) {
 	return uint64(under) + uint64(br.Buffered()), true
 }
 
-// readStreamAll materializes a whole IDT2 stream as an in-memory Trace
-// (the ReadBinary compatibility path). Chunks are not released, so the
-// returned records and payloads stay valid for the life of the Trace.
-func readStreamAll(r io.Reader) (*Trace, error) {
+// ReadBinary materializes a whole IDT2 stream as an in-memory Trace.
+// Chunks are not released, so the returned records and payloads stay
+// valid for the life of the Trace. Use NewReader to stream in O(chunk)
+// memory instead.
+func ReadBinary(r io.Reader) (*Trace, error) {
 	rd, err := NewReader(r)
 	if err != nil {
 		return nil, err

@@ -77,10 +77,7 @@ func TestStreamRoundTripViaReadBinary(t *testing.T) {
 	if err := tr.WriteStream(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !SniffStream(buf.Bytes()) {
-		t.Fatal("stream does not start with IDT2 magic")
-	}
-	// ReadBinary must detect v2 by magic (compatibility shim).
+	// A bytes.Buffer cannot seek: ReadBinary takes the sequential path.
 	got, err := ReadBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -484,16 +481,13 @@ func TestEmptyStream(t *testing.T) {
 }
 
 func TestJSONLBinaryStreamEquality(t *testing.T) {
-	// The format-conversion triangle: the same trace written as JSONL,
-	// v1 binary, and v2 stream decodes to identical records, incidents,
-	// and metadata from all three.
+	// The format-conversion pair: the same trace written as JSONL and
+	// as an IDT2 stream decodes to identical records, incidents, and
+	// metadata from both.
 	tr := sampleTrace(t)
 
-	var jbuf, v1buf, v2buf bytes.Buffer
+	var jbuf, v2buf bytes.Buffer
 	if err := tr.WriteJSONL(&jbuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteBinary(&v1buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.WriteStream(&v2buf); err != nil {
@@ -504,21 +498,13 @@ func TestJSONLBinaryStreamEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromV1, err := ReadBinary(&v1buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fromV2, err := ReadBinary(&v2buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	traceEqual(t, tr, fromJSONL)
-	traceEqual(t, tr, fromV1)
 	traceEqual(t, tr, fromV2)
-	// And transitively against each other (cheap given the above, but
-	// pins the equality the satellite task asks for explicitly).
-	traceEqual(t, fromJSONL, fromV1)
-	traceEqual(t, fromV1, fromV2)
+	traceEqual(t, fromJSONL, fromV2)
 }
 
 func TestDecodeAllocsPerChunk(t *testing.T) {

@@ -2,7 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -74,46 +74,17 @@ func TestAppendEnforcesTimeOrder(t *testing.T) {
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
+	// A seekable source: ReadBinary loads the footer index up front.
 	tr := sampleTrace(t)
 	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
+	if err := tr.WriteStream(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Profile != tr.Profile || got.Seed != tr.Seed {
-		t.Fatalf("meta mismatch: %q/%d vs %q/%d", got.Profile, got.Seed, tr.Profile, tr.Seed)
-	}
-	if len(got.Records) != len(tr.Records) {
-		t.Fatalf("records %d vs %d", len(got.Records), len(tr.Records))
-	}
-	for i := range tr.Records {
-		a, b := tr.Records[i], got.Records[i]
-		if a.At != b.At {
-			t.Fatalf("record %d time %v vs %v", i, a.At, b.At)
-		}
-		if a.Pk.Seq != b.Pk.Seq || a.Pk.Src != b.Pk.Src || a.Pk.Dst != b.Pk.Dst ||
-			a.Pk.SrcPort != b.Pk.SrcPort || a.Pk.DstPort != b.Pk.DstPort ||
-			a.Pk.Proto != b.Pk.Proto || a.Pk.Flags != b.Pk.Flags || a.Pk.TTL != b.Pk.TTL {
-			t.Fatalf("record %d header mismatch", i)
-		}
-		if !bytes.Equal(a.Pk.Payload, b.Pk.Payload) {
-			t.Fatalf("record %d payload mismatch", i)
-		}
-		if a.Pk.Truth != b.Pk.Truth {
-			t.Fatalf("record %d truth %+v vs %+v", i, a.Pk.Truth, b.Pk.Truth)
-		}
-	}
-	if len(got.Incidents) != len(tr.Incidents) {
-		t.Fatalf("incidents %d vs %d", len(got.Incidents), len(tr.Incidents))
-	}
-	for i := range tr.Incidents {
-		if got.Incidents[i] != tr.Incidents[i] {
-			t.Fatalf("incident %d mismatch: %+v vs %+v", i, got.Incidents[i], tr.Incidents[i])
-		}
-	}
+	traceEqual(t, tr, got)
 }
 
 func TestReadBinaryRejectsGarbage(t *testing.T) {
@@ -126,12 +97,18 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	// Truncated valid prefix.
 	tr := sampleTrace(t)
 	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
+	if err := tr.WriteStream(&buf); err != nil {
 		t.Fatal(err)
 	}
 	half := buf.Bytes()[:buf.Len()/2]
 	if _, err := ReadBinary(bytes.NewReader(half)); err == nil {
 		t.Fatal("truncated trace accepted")
+	}
+	// A retired v1 file fails with an error that says what to do.
+	v1 := append([]byte("IDTR"), buf.Bytes()[4:]...)
+	if _, err := ReadBinary(bytes.NewReader(v1)); !errors.Is(err, errRetiredV1) ||
+		!strings.Contains(err.Error(), "trafficgen") {
+		t.Fatalf("v1 input: got %v, want the retired-format error", err)
 	}
 }
 
@@ -226,7 +203,7 @@ func TestPropertyBinaryRoundTrip(t *testing.T) {
 			return false
 		}
 		var buf bytes.Buffer
-		if err := tr.WriteBinary(&buf); err != nil {
+		if err := tr.WriteStream(&buf); err != nil {
 			return false
 		}
 		got, err := ReadBinary(&buf)
@@ -240,34 +217,6 @@ func TestPropertyBinaryRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkBinaryWrite(b *testing.B) {
-	tr := sampleTraceForBench(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := tr.WriteBinary(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBinaryRead(b *testing.B) {
-	tr := sampleTraceForBench(b)
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -298,42 +247,10 @@ func TestSummarizeEmptyTrace(t *testing.T) {
 	}
 }
 
-func TestWriteBinaryRejectsOversizeStrings(t *testing.T) {
+func TestWriteStreamRejectsOversizeStrings(t *testing.T) {
 	tr := &Trace{Profile: strings.Repeat("x", 70000)}
 	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err == nil {
+	if err := tr.WriteStream(&buf); err == nil {
 		t.Fatal("oversized profile string accepted")
-	}
-}
-
-func TestReadBinaryRejectsHugePayloadClaim(t *testing.T) {
-	// Hand-craft a header claiming one record with an absurd payload
-	// length; the reader must refuse rather than allocate.
-	var buf bytes.Buffer
-	hdr := make([]byte, 16)
-	binary.BigEndian.PutUint32(hdr[0:4], 0x49445452)
-	binary.BigEndian.PutUint32(hdr[4:8], 1)
-	binary.BigEndian.PutUint64(hdr[8:16], 1)
-	buf.Write(hdr)
-	buf.Write([]byte{0, 0}) // empty profile string
-	buf.Write(make([]byte, 8))
-	rec := make([]byte, 40)
-	buf.Write(rec)
-	plen := make([]byte, 4)
-	binary.BigEndian.PutUint32(plen, 1<<30)
-	buf.Write(plen)
-	if _, err := ReadBinary(&buf); err == nil {
-		t.Fatal("gigabyte payload claim accepted")
-	}
-}
-
-func TestReadBinaryRejectsWrongVersion(t *testing.T) {
-	var buf bytes.Buffer
-	hdr := make([]byte, 16)
-	binary.BigEndian.PutUint32(hdr[0:4], 0x49445452)
-	binary.BigEndian.PutUint32(hdr[4:8], 99)
-	buf.Write(hdr)
-	if _, err := ReadBinary(&buf); err == nil {
-		t.Fatal("future version accepted")
 	}
 }
