@@ -24,22 +24,42 @@ func benignPacket() *packet.Packet {
 	}
 }
 
+// maliciousPayload is the exploit request BenchmarkSignatureInspectMalicious
+// inspects: it matches the high-fidelity phf and /etc/passwd rules.
+var maliciousPayload = []byte("GET /cgi-bin/phf?Qalias=x%0a/bin/cat%20/etc/passwd HTTP/1.0\r\n\r\n")
+
 // TestSignatureInspectBenignZeroAllocs pins the acceptance criterion:
 // inspecting a clean packet allocates nothing — no suppress-key
-// formatting, no Reason formatting, no per-scan hit slices.
+// formatting, no Reason formatting, no per-scan hit slices. The
+// malicious packet pins the steady state of an attack flow the same
+// way: its first sighting alerts, and repeats inside the suppress
+// window are held off without allocating.
 func TestSignatureInspectBenignZeroAllocs(t *testing.T) {
-	e := NewStandardSignatureEngine()
-	p := benignPacket()
-	now := 5 * time.Millisecond
-	e.Inspect(p, now) // warm scan buffers
-	allocs := testing.AllocsPerRun(200, func() {
-		now += 40 * time.Microsecond
-		if got := e.Inspect(p, now); got != nil {
-			t.Fatalf("benign packet raised alerts: %v", got)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		alerts  bool // whether the first inspection alerts
+	}{
+		{"benign", benignPacket().Payload, false},
+		{"malicious", maliciousPayload, true},
+	} {
+		e := NewStandardSignatureEngine()
+		p := benignPacket()
+		p.Payload = tc.payload
+		now := 5 * time.Millisecond
+		// Warm scan buffers; a malicious packet raises its alerts here.
+		if got := e.Inspect(p, now); (len(got) > 0) != tc.alerts {
+			t.Fatalf("%s packet: first inspection alerts %v", tc.name, got)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Inspect benign path allocates %.1f allocs/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			now += 40 * time.Microsecond
+			if got := e.Inspect(p, now); got != nil {
+				t.Fatalf("%s packet raised alerts in steady state: %v", tc.name, got)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("Inspect %s path allocates %.1f allocs/op, want 0", tc.name, allocs)
+		}
 	}
 }
 
@@ -60,7 +80,7 @@ func BenchmarkSignatureInspect(b *testing.B) {
 func BenchmarkSignatureInspectMalicious(b *testing.B) {
 	e := NewStandardSignatureEngine()
 	p := benignPacket()
-	p.Payload = []byte("GET /cgi-bin/phf?Qalias=x%0a/bin/cat%20/etc/passwd HTTP/1.0\r\n\r\n")
+	p.Payload = maliciousPayload
 	now := time.Duration(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -171,17 +191,28 @@ func batchPayloads(n, sz int) [][]byte {
 }
 
 // TestScanBatchZeroAllocs pins the steady-state batched path at zero
-// allocations per op once the BatchBuf has warmed.
+// allocations per op once the BatchBuf has warmed, and with it the two
+// scalar entry points the batch is judged against: Contains over the
+// AhoCorasickScan4K input and ScanSetInto over the ScanSetInto4K input.
 func TestScanBatchZeroAllocs(t *testing.T) {
 	m := NewMatcher(standardPatterns())
 	payloads := batchPayloads(32, 512)
 	var buf BatchBuf
-	m.ScanBatch(payloads, &buf)
-	allocs := testing.AllocsPerRun(100, func() {
-		m.ScanBatch(payloads, &buf)
-	})
-	if allocs != 0 {
-		t.Fatalf("ScanBatch steady state allocates %.1f allocs/op, want 0", allocs)
+	_, data := benchCorpus()
+	scalar := batchPayloads(1, 4096)[0]
+	var sbuf ScanBuf
+	for _, tc := range []struct {
+		name string
+		scan func()
+	}{
+		{"ScanBatch", func() { m.ScanBatch(payloads, &buf) }},
+		{"Contains", func() { m.Contains(data) }},
+		{"ScanSetInto", func() { m.ScanSetInto(scalar, &sbuf) }},
+	} {
+		tc.scan()
+		if allocs := testing.AllocsPerRun(100, tc.scan); allocs != 0 {
+			t.Fatalf("%s steady state allocates %.1f allocs/op, want 0", tc.name, allocs)
+		}
 	}
 }
 

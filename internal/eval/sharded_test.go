@@ -119,8 +119,8 @@ func TestShardedScaleCancellation(t *testing.T) {
 	}
 }
 
-// benchScaleConfig is the ≥10k-host LargeConfig the throughput
-// benchmarks and BENCH_sim.json run against.
+// benchScaleConfig is the ≥10k-host LargeConfig the
+// BenchmarkShardedScaleShards* throughput benchmarks run against.
 func benchScaleConfig(shards int) ShardedScaleConfig {
 	return ShardedScaleConfig{
 		Seed:            99,

@@ -7,8 +7,8 @@ import (
 
 // The disabled-path benchmarks pin the cost of telemetry when it is
 // switched off: a nil-receiver check, no atomics, no allocations.
-// `make benchobs` snapshots these into BENCH_obs.json so regressions
-// show up as diffs.
+// TestDisabledPathAllocFree and TestFlightDisabledAllocFree pin the
+// zero-allocation half of that contract on every test run.
 
 func BenchmarkCounterIncDisabled(b *testing.B) {
 	var c *Counter

@@ -293,13 +293,20 @@ func TestConcurrentRegistryUse(t *testing.T) {
 }
 
 // TestDisabledPathAllocFree is the acceptance gate backing the
-// benchmark: the nil-instrument path must not allocate, and neither
-// must the enabled hot path.
+// *Disabled benchmarks: the nil-instrument path (counter, histogram,
+// gauge and span) must not allocate, and neither must the enabled hot
+// path.
 func TestDisabledPathAllocFree(t *testing.T) {
 	var reg *Registry
 	c := reg.Counter("x")
 	h := reg.Histogram("y", ClockSim)
-	if n := testing.AllocsPerRun(1000, func() { c.Inc(); h.Observe(42) }); n != 0 {
+	g := reg.Gauge("z")
+	if n := testing.AllocsPerRun(1000, func() {
+		c.Inc()
+		h.Observe(42)
+		g.Update(1)
+		reg.StartSpan("stage").End()
+	}); n != 0 {
 		t.Fatalf("disabled path allocates %.1f per op", n)
 	}
 	on := NewRegistry()

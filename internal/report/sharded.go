@@ -11,7 +11,7 @@ import (
 // ShardedScaleReport renders one at-scale sharded run. Only the
 // deterministic fields of the result appear here: the report is byte-
 // identical for every shard count at the same seed (wall-clock and
-// events/sec go to stderr or BENCH artifacts instead).
+// events/sec go to stderr and the benchmarks instead).
 func ShardedScaleReport(w io.Writer, r *eval.ShardedScaleResult) error {
 	fmt.Fprintf(w, "== Sharded scale run: %s ==\n", r.Product)
 	fmt.Fprintf(w, "topology: %d segments x %d hosts = %d hosts; train %v, score %v\n",

@@ -491,10 +491,40 @@ func TestAdmissionControlRejectsBeyondMaxStreams(t *testing.T) {
 	}
 }
 
+// TestServeIngestAllocs pins the allocation profile of the durable-ack
+// path BenchmarkServeIngest measures: one spool append + fsync, then one
+// ack-journal append + fsync per 64 KiB chunk, at no more than 2
+// allocations per chunk. The regression this catches is an accidental
+// copy or buffer per chunk, which shows up here exactly, while the
+// path's throughput swings with host IO.
+func TestServeIngestAllocs(t *testing.T) {
+	svc := openService(t, t.TempDir(), func(c *serve.Config) {
+		c.MaxSpoolBytes = 1 << 40
+	})
+	defer svc.Close()
+	if _, err := svc.Hello(serve.StreamMeta{Name: "allocs", Evals: true, Quick: true}); err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0x5A}, 64<<10)
+	ord := uint32(0)
+	accept := func() {
+		if _, err := svc.Accept("allocs", ord, payload); err != nil {
+			t.Fatal(err)
+		}
+		ord++
+	}
+	for i := 0; i < 8; i++ {
+		accept() // warm spool, journal and ledger
+	}
+	if n := testing.AllocsPerRun(50, accept); n > 2 {
+		t.Fatalf("Accept allocates %.1f per 64 KiB chunk, want <= 2", n)
+	}
+}
+
 func BenchmarkServeIngest(b *testing.B) {
 	// The durable-ack hot path: one spool append + fsync, one ack-line
 	// append + fsync per chunk. MB/s here is what a single lock-step
-	// uploader sees; BENCH_serve.json pins it against regression.
+	// uploader sees; TestServeIngestAllocs pins its allocations.
 	//
 	// The service dir goes on tmpfs when the host has one: on a disk,
 	// fsync latency swamps the code path under measurement and varies
