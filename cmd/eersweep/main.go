@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/cli"
 	"repro/internal/eval"
@@ -60,10 +59,7 @@ func main() {
 
 	opts := eval.SweepOptions{Seed: *seed, Points: *points, Workers: *workers, Obs: o.Registry()}
 	if *quick {
-		opts.TrainFor = 6 * time.Second
-		opts.RunFor = 14 * time.Second
-		opts.Pps = 200
-		opts.Strength = 0.5
+		opts.QuickScale()
 	}
 	fmt.Printf("sweeping %s %s across %d sensitivity settings...\n\n", spec.Name, spec.Version, *points)
 	sw, err := eval.SensitivitySweep(ctx, spec, opts)

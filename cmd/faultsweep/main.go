@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/cli"
 	"repro/internal/eval"
@@ -80,9 +79,7 @@ func main() {
 		Obs:     o.Registry(),
 	}
 	if *quick {
-		opts.TrainFor = 8 * time.Second
-		opts.AttackFor = 20 * time.Second
-		opts.Pps = 300
+		opts.QuickScale()
 	}
 	sw, err := eval.FaultSweep(ctx, spec, sc, opts)
 	if err != nil {

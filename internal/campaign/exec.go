@@ -106,26 +106,22 @@ func (r *Runner) execute(ctx context.Context, ex Experiment) (*Result, error) {
 	return res, nil
 }
 
-// sweepOpts mirrors cmd/eersweep's sizing so campaign sweep points are
-// bit-identical to a standalone sweep at the same seed and scale.
+// sweepOpts sizes a sweep point like cmd/eersweep, so campaign sweep
+// points are bit-identical to a standalone sweep at the same seed and
+// scale.
 func (r *Runner) sweepOpts(ex Experiment) eval.SweepOptions {
 	opts := eval.SweepOptions{Seed: r.Spec.Seed, Points: ex.Points, Workers: 1}
 	if r.Spec.Quick {
-		opts.TrainFor = 6 * time.Second
-		opts.RunFor = 14 * time.Second
-		opts.Pps = 200
-		opts.Strength = 0.5
+		opts.QuickScale()
 	}
 	return opts
 }
 
-// faultOpts mirrors cmd/faultsweep's sizing.
+// faultOpts sizes a fault point like cmd/faultsweep.
 func (r *Runner) faultOpts(ex Experiment) eval.FaultSweepOptions {
 	opts := eval.FaultSweepOptions{Seed: r.Spec.Seed, Points: ex.Points, Workers: 1}
 	if r.Spec.Quick {
-		opts.TrainFor = 8 * time.Second
-		opts.AttackFor = 20 * time.Second
-		opts.Pps = 300
+		opts.QuickScale()
 	}
 	return opts
 }

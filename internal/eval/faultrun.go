@@ -172,6 +172,15 @@ func (o *FaultSweepOptions) applyDefaults() {
 	}
 }
 
+// QuickScale shrinks the sweep's runs to smoke-test scale. Every quick
+// fault sweep (campaign fault points, faultsweep -quick) uses it, so
+// their points stay bit-identical at one seed.
+func (o *FaultSweepOptions) QuickScale() {
+	o.TrainFor = 8 * time.Second
+	o.AttackFor = 20 * time.Second
+	o.Pps = 300
+}
+
 // FaultSweepResult is one product's degradation curve: the same seed and
 // scenario at increasing severity.
 type FaultSweepResult struct {

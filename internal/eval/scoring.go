@@ -453,10 +453,7 @@ func EvaluateProduct(ctx context.Context, spec products.Spec, reg *core.Registry
 			swOpts := SweepOptions{Seed: opts.Seed, Workers: opts.Workers}
 			if opts.Quick {
 				swOpts.Points = 3
-				swOpts.TrainFor = 6 * time.Second
-				swOpts.RunFor = 14 * time.Second
-				swOpts.Pps = 200
-				swOpts.Strength = 0.5
+				swOpts.QuickScale()
 			}
 			sw, err := SensitivitySweep(ctx, spec, swOpts)
 			if err != nil {

@@ -187,31 +187,17 @@ func RunShardedScale(ctx context.Context, spec products.Spec, cfg ShardedScaleCo
 
 	// IDS architecture knobs from the product spec, with the assembly
 	// defaults the spec itself relies on.
-	queue := spec.IDS.SensorQueue
-	if queue <= 0 {
-		queue = 2048
-	}
-	window := spec.IDS.CorrelationWindow
-	if window <= 0 {
-		window = 5 * time.Second
-	}
-	threshold := spec.IDS.NotifyThreshold
-	if threshold <= 0 {
-		threshold = 0.5
-	}
-	storage := spec.IDS.StorageBytesPerAlert
-	if storage <= 0 {
-		storage = 512
-	}
+	idsCfg := spec.IDS
+	idsCfg.ApplyDefaults()
 
 	segs := make([]*segPipeline, cfg.Segments)
 	for s := 0; s < cfg.Segments; s++ {
 		s := s
 		segSim := top.SegmentSim(s)
 		sp := &segPipeline{engine: spec.IDS.Engine()}
-		sp.monitor = ids.NewMonitor(segSim, threshold)
-		sp.analyzer = ids.NewAnalyzer(segSim, s, window, storage, sp.monitor)
-		sp.sensor = ids.NewSensor(segSim, s, sp.engine, queue, spec.IDS.FailureMode, 0, 0)
+		sp.monitor = ids.NewMonitor(segSim, idsCfg.NotifyThreshold)
+		sp.analyzer = ids.NewAnalyzer(segSim, s, idsCfg.CorrelationWindow, idsCfg.StorageBytesPerAlert, sp.monitor)
+		sp.sensor = ids.NewSensor(segSim, s, sp.engine, idsCfg.SensorQueue, idsCfg.FailureMode, 0, 0)
 		sp.sensor.SetDeliver(func(alerts []detect.Alert) {
 			for _, a := range alerts {
 				if a.Flow.DstPort == attackPort {

@@ -76,6 +76,16 @@ func (o *SweepOptions) applyDefaults() {
 	}
 }
 
+// QuickScale shrinks the sweep's runs to smoke-test scale. Every quick
+// sweep (EvaluateProduct, campaign sweep points, eersweep -quick) uses
+// it, so their points stay bit-identical at one seed.
+func (o *SweepOptions) QuickScale() {
+	o.TrainFor = 6 * time.Second
+	o.RunFor = 14 * time.Second
+	o.Pps = 200
+	o.Strength = 0.5
+}
+
 // SensitivitySweep reruns the accuracy experiment across the sensitivity
 // range, producing the Type I / Type II error curves of Figure 4. Each
 // point uses a fresh testbed with the same seed, so the only varying

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/ids"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/products"
@@ -22,18 +23,13 @@ func RunTraceAccuracy(ctx context.Context, spec products.Spec, tr *trace.Trace, 
 	if len(tr.Records) == 0 {
 		return nil, fmt.Errorf("eval: empty trace")
 	}
-	// Size the testbed to cover every address the trace uses.
+	// Size the testbed to cover every in-plan address the trace uses.
 	maxCluster, maxExternal := 0, 0
 	for _, rec := range tr.Records {
-		for _, a := range []packet.Addr{rec.Pk.Src, rec.Pk.Dst} {
-			o1, o2, o3, o4 := a.Octets()
-			idx := int(o3-1)*250 + int(o4-1)
-			switch {
-			case o1 == 10 && o2 == 1 && idx >= maxCluster:
-				maxCluster = idx + 1
-			case o1 == 203 && o2 == 0 && idx >= maxExternal:
-				maxExternal = idx + 1
-			}
+		for _, a := range [2]packet.Addr{rec.Pk.Src, rec.Pk.Dst} {
+			c, e := netsim.PlanSizing(a)
+			maxCluster = max(maxCluster, c)
+			maxExternal = max(maxExternal, e)
 		}
 	}
 	tb, err := NewTestbed(spec, TestbedConfig{
@@ -82,19 +78,17 @@ func RunTraceAccuracy(ctx context.Context, spec products.Spec, tr *trace.Trace, 
 // the testbed is sized from the stream's footer statistics, chunks are
 // decoded one ahead of the replay clock on an internal/par worker, and
 // peak memory is O(chunk) instead of O(capture). Results are identical
-// to loading the same records through RunTraceAccuracy. The reader must
-// be indexed (opened on a seekable source), since sizing and ground
-// truth are needed before the first chunk replays.
+// to loading the same records through RunTraceAccuracy. Sizing and
+// ground truth come from the footer, which NewReader loaded at open; a
+// footer that misstates the records fails the replay when the reader
+// reaches it.
 //
 // When reg is non-nil, the run is instrumented: wall-clock stage spans
 // ("replay.setup" / "replay.train" / "replay.replay" / "replay.score"),
 // decoder counters on rd, and the full testbed component telemetry.
 // The scored result is bit-identical with reg set or nil.
 func RunTraceAccuracyStream(ctx context.Context, spec products.Spec, rd *trace.Reader, sensitivity float64, trainFor time.Duration, seed int64, reg *obs.Registry) (*AccuracyResult, error) {
-	st, ok := rd.Stats()
-	if !ok {
-		return nil, fmt.Errorf("eval: streaming accuracy needs an indexed trace (seekable IDT2 source)")
-	}
+	st := rd.Stats()
 	if st.Packets == 0 {
 		return nil, fmt.Errorf("eval: empty trace")
 	}

@@ -3,7 +3,6 @@ package eval
 import (
 	"bytes"
 	"context"
-	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -157,13 +156,9 @@ func TestStreamAccuracyRequiresIndex(t *testing.T) {
 	if err := tr.WriteStream(&enc); err != nil {
 		t.Fatal(err)
 	}
-	// A non-seekable source has no footer index up front; the streaming
-	// runner must refuse it rather than silently degrade.
-	rd, err := trace.NewReader(io.MultiReader(bytes.NewReader(enc.Bytes())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunTraceAccuracyStream(context.Background(), products.TrueSecure(), rd, 0.6, time.Second, 11, nil); err == nil {
-		t.Fatal("unindexed source accepted")
+	// The streaming runner sizes the testbed and takes ground truth from
+	// the footer index, so a stream without one must not open at all.
+	if _, err := trace.NewReader(bytes.NewReader(enc.Bytes()[:enc.Len()/2])); err == nil {
+		t.Fatal("footerless trace opened")
 	}
 }

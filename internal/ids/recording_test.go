@@ -247,8 +247,7 @@ func TestExportRecordingsWritesStreamTrace(t *testing.T) {
 	for _, rec := range s.Recordings() {
 		total += len(rec.Packets)
 	}
-	st, ok := rd.Stats()
-	if !ok || st.Packets != uint64(total) {
+	if st := rd.Stats(); st.Packets != uint64(total) {
 		t.Fatalf("exported %d packets, recordings hold %d", st.Packets, total)
 	}
 	var lastSent time.Duration

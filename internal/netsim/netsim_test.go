@@ -317,6 +317,27 @@ func TestClusterAddrUnique(t *testing.T) {
 	}
 }
 
+func TestPlanSizingInvertsThePlan(t *testing.T) {
+	for _, i := range []int{0, 1, 249, 250, 251, 1000, PlanCapacity - 1} {
+		if c, e := PlanSizing(ClusterAddr(i)); c != i+1 || e != 0 {
+			t.Fatalf("PlanSizing(ClusterAddr(%d)) = %d, %d; want %d, 0", i, c, e, i+1)
+		}
+		if c, e := PlanSizing(ExternalAddr(i)); c != 0 || e != i+1 {
+			t.Fatalf("PlanSizing(ExternalAddr(%d)) = %d, %d; want 0, %d", i, c, e, i+1)
+		}
+	}
+	// Off-plan addresses size nothing: a zero third or fourth octet, a
+	// fourth octet past 250, and foreign prefixes.
+	for _, a := range []packet.Addr{
+		packet.IPv4(10, 1, 0, 5), packet.IPv4(10, 1, 1, 0), packet.IPv4(10, 1, 1, 251),
+		packet.IPv4(203, 0, 0, 1), packet.IPv4(10, 2, 1, 1), packet.IPv4(192, 168, 1, 1),
+	} {
+		if c, e := PlanSizing(a); c != 0 || e != 0 {
+			t.Fatalf("PlanSizing(%v) = %d, %d; want 0, 0", a, c, e)
+		}
+	}
+}
+
 func TestAddClusterHost(t *testing.T) {
 	sim := simtime.New(1)
 	top := BuildTopology(sim, TopologyConfig{ClusterHosts: 1, ExternalHosts: 1})

@@ -54,6 +54,11 @@ var LanPrefix = packet.IPv4(10, 1, 0, 0)
 // ExtPrefix is the external network (203.0.0.0/16).
 var ExtPrefix = packet.IPv4(203, 0, 0, 0)
 
+// PlanCapacity is how many hosts each side of the address plan holds:
+// host i sits at third octet i/250+1 (1–255) and fourth octet i%250+1
+// (1–250) of its /16.
+const PlanCapacity = 255 * 250
+
 // ClusterAddr returns the address of cluster host i (0-based).
 func ClusterAddr(i int) packet.Addr {
 	return LanPrefix + packet.Addr(i/250+1)<<8 + packet.Addr(i%250+1)
@@ -62,6 +67,24 @@ func ClusterAddr(i int) packet.Addr {
 // ExternalAddr returns the address of external host i (0-based).
 func ExternalAddr(i int) packet.Addr {
 	return ExtPrefix + packet.Addr(i/250+1)<<8 + packet.Addr(i%250+1)
+}
+
+// PlanSizing inverts ClusterAddr and ExternalAddr: it returns how many
+// cluster and external hosts a testbed needs so that a is one of them.
+// An address outside the plan needs none (0, 0).
+func PlanSizing(a packet.Addr) (cluster, external int) {
+	o1, o2, o3, o4 := a.Octets()
+	if o3 < 1 || o4 < 1 || o4 > 250 {
+		return 0, 0
+	}
+	n := int(o3-1)*250 + int(o4)
+	switch {
+	case o1 == 10 && o2 == 1:
+		return n, 0
+	case o1 == 203 && o2 == 0:
+		return 0, n
+	}
+	return 0, 0
 }
 
 // BuildTopology wires the canonical testbed.

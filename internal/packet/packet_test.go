@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestIPv4String(t *testing.T) {
@@ -101,152 +100,11 @@ func TestPacketWireLenAndClone(t *testing.T) {
 	}
 }
 
-func TestFlowTable(t *testing.T) {
-	ft := NewFlowTable()
-	k := testKey()
-	p := &Packet{Src: k.Src, Dst: k.Dst, SrcPort: k.SrcPort, DstPort: k.DstPort, Proto: k.Proto, Flags: SYN, Payload: []byte("x")}
-	ft.Observe(p, time.Second)
-	ft.Observe(p, 2*time.Second)
-	if ft.Len() != 1 {
-		t.Fatalf("Len() = %d", ft.Len())
-	}
-	st := ft.Get(k)
-	if st == nil {
-		t.Fatal("flow missing")
-	}
-	if st.Packets != 2 || st.Payloads != 2 || !st.SynSeen || st.FinSeen {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.First != time.Second || st.Last != 2*time.Second {
-		t.Fatalf("times = %v..%v", st.First, st.Last)
-	}
-	if got := ft.Get(k.Reverse()); got != nil {
-		t.Fatal("reverse direction must be a distinct flow")
-	}
-}
-
-func TestFlowTableKeysSorted(t *testing.T) {
-	ft := NewFlowTable()
-	for i := byte(10); i > 0; i-- {
-		ft.Observe(&Packet{Src: IPv4(10, 0, 0, i), Dst: IPv4(10, 0, 0, 100), Proto: ProtoUDP}, 0)
-	}
-	keys := ft.Keys()
-	if len(keys) != 10 {
-		t.Fatalf("len(keys) = %d", len(keys))
-	}
-	for i := 1; i < len(keys); i++ {
-		if !keys[i-1].less(keys[i]) {
-			t.Fatal("keys not sorted")
-		}
-	}
-}
-
-func mkTCP(k FlowKey, flags TCPFlags) *Packet {
-	return &Packet{Src: k.Src, Dst: k.Dst, SrcPort: k.SrcPort, DstPort: k.DstPort, Proto: ProtoTCP, Flags: flags}
-}
-
-func TestTCPTrackerHandshakeLifecycle(t *testing.T) {
-	tr := NewTCPTracker(0)
-	k := testKey()
-	tr.Observe(mkTCP(k, SYN), 0)
-	if tr.Concurrent() != 0 {
-		t.Fatal("session established after bare SYN")
-	}
-	tr.Observe(mkTCP(k.Reverse(), SYN|ACK), time.Millisecond)
-	tr.Observe(mkTCP(k, ACK), 2*time.Millisecond)
-	if tr.Concurrent() != 1 {
-		t.Fatalf("Concurrent() = %d after handshake", tr.Concurrent())
-	}
-	if st, ok := tr.State(k); !ok || st != TCPStateEstablished {
-		t.Fatalf("State() = %v, %v", st, ok)
-	}
-	tr.Observe(mkTCP(k, FIN|ACK), 3*time.Millisecond)
-	if tr.Concurrent() != 0 {
-		t.Fatalf("Concurrent() = %d after FIN", tr.Concurrent())
-	}
-	if tr.PeakConcurrent() != 1 || tr.TotalOpened() != 1 {
-		t.Fatalf("peak=%d total=%d", tr.PeakConcurrent(), tr.TotalOpened())
-	}
-}
-
-func TestTCPTrackerRSTCloses(t *testing.T) {
-	tr := NewTCPTracker(0)
-	k := testKey()
-	tr.Observe(mkTCP(k, SYN), 0)
-	tr.Observe(mkTCP(k.Reverse(), SYN|ACK), 1)
-	tr.Observe(mkTCP(k, ACK), 2)
-	tr.Observe(mkTCP(k.Reverse(), RST), 3)
-	if tr.Concurrent() != 0 {
-		t.Fatalf("Concurrent() = %d after RST", tr.Concurrent())
-	}
-}
-
-func TestTCPTrackerMidStreamPickup(t *testing.T) {
-	tr := NewTCPTracker(0)
-	k := testKey()
-	tr.Observe(mkTCP(k, ACK|PSH), 0)
-	if tr.Concurrent() != 1 {
-		t.Fatal("mid-stream traffic must be counted as an established session")
-	}
-}
-
-func TestTCPTrackerPeakConcurrent(t *testing.T) {
-	tr := NewTCPTracker(0)
-	for i := byte(1); i <= 5; i++ {
-		k := FlowKey{Src: IPv4(10, 0, 0, i), Dst: IPv4(10, 0, 1, 1), SrcPort: 1000 + uint16(i), DstPort: 80, Proto: ProtoTCP}
-		tr.Observe(mkTCP(k, SYN), 0)
-		tr.Observe(mkTCP(k, ACK), 1)
-	}
-	if tr.PeakConcurrent() != 5 || tr.Concurrent() != 5 {
-		t.Fatalf("peak=%d cur=%d", tr.PeakConcurrent(), tr.Concurrent())
-	}
-}
-
-func TestTCPTrackerExpire(t *testing.T) {
-	tr := NewTCPTracker(10 * time.Second)
-	k := testKey()
-	tr.Observe(mkTCP(k, SYN), 0)
-	tr.Observe(mkTCP(k, ACK), time.Second)
-	if n := tr.Expire(5 * time.Second); n != 0 {
-		t.Fatalf("expired %d sessions too early", n)
-	}
-	if n := tr.Expire(30 * time.Second); n != 1 {
-		t.Fatalf("Expire = %d, want 1", n)
-	}
-	if tr.Concurrent() != 0 {
-		t.Fatalf("Concurrent() = %d after expiry", tr.Concurrent())
-	}
-	// Zero timeout disables expiry entirely.
-	tr2 := NewTCPTracker(0)
-	tr2.Observe(mkTCP(k, ACK), 0)
-	if n := tr2.Expire(time.Hour); n != 0 {
-		t.Fatal("expiry ran with zero timeout")
-	}
-}
-
-func TestTCPTrackerIgnoresNonTCP(t *testing.T) {
-	tr := NewTCPTracker(0)
-	tr.Observe(&Packet{Proto: ProtoUDP}, 0)
-	if tr.Concurrent() != 0 || tr.TotalOpened() != 0 {
-		t.Fatal("UDP affected TCP tracker")
-	}
-}
-
 func BenchmarkFlowKeyHash(b *testing.B) {
 	k := testKey()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = k.Hash()
-	}
-}
-
-func BenchmarkFlowTableObserve(b *testing.B) {
-	ft := NewFlowTable()
-	p := &Packet{Src: IPv4(10, 0, 0, 1), Dst: IPv4(10, 0, 0, 2), SrcPort: 1234, DstPort: 80, Proto: ProtoTCP}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.SrcPort = uint16(i % 5000)
-		ft.Observe(p, time.Duration(i))
 	}
 }
 
@@ -281,13 +139,6 @@ func TestPacketString(t *testing.T) {
 	}
 }
 
-func TestTCPStateString(t *testing.T) {
-	if TCPStateSynSent.String() != "syn-sent" || TCPStateEstablished.String() != "established" ||
-		TCPStateClosed.String() != "closed" || TCPState(9).String() != "invalid" {
-		t.Fatal("state names wrong")
-	}
-}
-
 // Property: WireLen is always header size plus payload length, and Clone
 // preserves it.
 func TestPropertyWireLenClone(t *testing.T) {
@@ -297,40 +148,5 @@ func TestPropertyWireLenClone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestParseAddrRoundTrip(t *testing.T) {
-	for _, a := range []Addr{IPv4(0, 0, 0, 0), IPv4(10, 1, 1, 1), IPv4(203, 0, 113, 255), IPv4(255, 255, 255, 255)} {
-		got, err := ParseAddr(a.String())
-		if err != nil {
-			t.Fatalf("ParseAddr(%q): %v", a.String(), err)
-		}
-		if got != a {
-			t.Fatalf("ParseAddr(%q) = %v", a.String(), got)
-		}
-	}
-	for _, s := range []string{"", "10.1.1", "10.1.1.1.1", "256.0.0.1", "a.b.c.d", "10..1.1", "-1.0.0.0", " 10.1.1.1"} {
-		if _, err := ParseAddr(s); err == nil {
-			t.Fatalf("ParseAddr(%q) accepted", s)
-		}
-	}
-}
-
-func TestParseTCPFlagsRoundTrip(t *testing.T) {
-	for _, f := range []TCPFlags{0, SYN, SYN | ACK, FIN | ACK, RST, PSH | ACK | URG, SYN | FIN | RST | PSH | ACK | URG} {
-		got, err := ParseTCPFlags(f.String())
-		if err != nil {
-			t.Fatalf("ParseTCPFlags(%q): %v", f.String(), err)
-		}
-		if got != f {
-			t.Fatalf("ParseTCPFlags(%q) = %v, want %v", f.String(), got, f)
-		}
-	}
-	if f, err := ParseTCPFlags(""); err != nil || f != 0 {
-		t.Fatalf("empty flags: %v, %v", f, err)
-	}
-	if _, err := ParseTCPFlags("SX"); err == nil {
-		t.Fatal("bad flag letter accepted")
 	}
 }

@@ -10,11 +10,13 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -470,6 +472,60 @@ func TestHealthTransitionsAndDrain(t *testing.T) {
 	if !errors.As(err, &re) || re.RetryAfter <= 0 {
 		t.Fatalf("hello while draining = %v, want RejectError with Retry-After", err)
 	}
+}
+
+// footerOffset locates an IDT2 stream's footer block through the
+// 12-byte trailer (footer offset u64, magic u32) that ends the stream.
+func footerOffset(data []byte) int {
+	return int(binary.BigEndian.Uint64(data[len(data)-12:]))
+}
+
+// expectShedCorrupt uploads data as one stream and requires Finish to
+// refuse it with a ProtocolError, shedding every chunk as corrupt, with
+// the ledger balanced.
+func expectShedCorrupt(t *testing.T, name string, data []byte) {
+	t.Helper()
+	svc := openService(t, t.TempDir(), func(c *serve.Config) {
+		c.ShedWindow = time.Hour // keep the shed visible for the assertion
+	})
+	defer svc.Close()
+	chunks := chunked(data, 16<<10)
+	if _, err := svc.Hello(quickMeta(name)); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range chunks {
+		if _, err := svc.Accept(name, uint32(i), c); err != nil {
+			t.Fatalf("chunk %d: %v", i, err)
+		}
+	}
+	err := svc.Finish(name, uint64(len(chunks)), int64(len(data)))
+	var pe *serve.ProtocolError
+	if !errors.As(err, &pe) || !strings.Contains(err.Error(), "IDT2 validation") {
+		t.Fatalf("finish = %v, want a ProtocolError from spool validation", err)
+	}
+	status, ok := svc.Status(name)
+	if !ok || status.State != serve.StateShed || status.Reason != string(serve.ShedCorrupt) {
+		t.Fatalf("status after finish = %+v, want shed (corrupt)", status)
+	}
+	counts := svc.Counts()
+	if counts.Shed[serve.ShedCorrupt] != uint64(len(chunks)) || counts.Delivered != 0 || counts.Pending != 0 {
+		t.Fatalf("ledger = %+v, want all %d chunks shed as corrupt", counts, len(chunks))
+	}
+	checkLedger(t, svc)
+}
+
+func TestFinishShedsLyingFooter(t *testing.T) {
+	// The footer claims 60,000 cluster hosts — within the address plan,
+	// so the stream opens — but the records touch three.
+	data := append([]byte(nil), buildTraceBytes(t, 31)...)
+	clusterHosts := footerOffset(data) + 5 + 8 + 48 // block header, incidents offset, six u64 stats
+	binary.BigEndian.PutUint32(data[clusterHosts:], 60000)
+	expectShedCorrupt(t, "lying-footer", data)
+}
+
+func TestFinishShedsFooterlessUpload(t *testing.T) {
+	data := buildTraceBytes(t, 31)
+	expectShedCorrupt(t, "no-footer", data[:footerOffset(data)])
 }
 
 func TestAdmissionControlRejectsBeyondMaxStreams(t *testing.T) {

@@ -563,7 +563,9 @@ func (s *Service) shedCorruptLocked(st *stream, chunks uint64, bytes int64) {
 	go st.publish(Event{Kind: EventFailed, Payload: []byte("stream shed: " + string(ShedCorrupt))})
 }
 
-// validateSpool fully decodes the spool as an IDT2 stream.
+// validateSpool fully decodes the spool as an IDT2 stream. The reader
+// refuses a spool without a footer at open, and one whose footer
+// misstates its records when the decode reaches the footer.
 func validateSpool(path string) error {
 	f, err := os.Open(path)
 	if err != nil {

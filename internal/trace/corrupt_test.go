@@ -8,7 +8,6 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"strings"
 	"testing"
 )
@@ -55,29 +54,12 @@ func smallChunkStream(t *testing.T) ([]byte, []int) {
 	return data, offs
 }
 
-func readAll(data []byte) error {
-	rd, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	for {
-		c, err := rd.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		c.Release()
-	}
-}
-
 func TestCorruptFirstChunkNamesChunkAndOffset(t *testing.T) {
 	data, offs := smallChunkStream(t)
 	// Zero the record-count varint of chunk 0: the decoder must reject
 	// it and say exactly where.
 	data[offs[0]] = 0
-	err := readAll(data)
+	_, err := readTrace(data)
 	if err == nil {
 		t.Fatal("zeroed record count decoded cleanly")
 	}
@@ -154,7 +136,7 @@ func TestOversizedBlockLengthRejectedBeforeAllocation(t *testing.T) {
 	data, offs := smallChunkStream(t)
 	hdr := offs[0] - 5
 	binary.BigEndian.PutUint32(data[hdr+1:hdr+5], 2<<20)
-	err := readAll(data)
+	_, err := readTrace(data)
 	if err == nil {
 		t.Fatal("oversized block length decoded cleanly")
 	}

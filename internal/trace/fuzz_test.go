@@ -11,12 +11,12 @@ import (
 	"repro/internal/packet"
 )
 
-// FuzzReadTrace drives the IDT2 decoder — the materializing ReadBinary
-// and the chunked stream reader — over arbitrary input. Neither may
+// FuzzReadTrace drives the IDT2 decoder — NewReader and Next, the path
+// every consumer reads through — over arbitrary input. It may not
 // panic, hang, or allocate unboundedly; malformed input must surface as
-// an error. Valid inputs that decode must re-encode and decode to the
-// same record count (a cheap internal-consistency invariant that needs
-// no reference decoder).
+// an error. An input that reads to a clean io.EOF matched its footer,
+// and must re-encode and decode to the same record count (a cheap
+// internal-consistency invariant that needs no reference decoder).
 func FuzzReadTrace(f *testing.F) {
 	// Seed corpus: a real v2 stream (two chunk sizes), an empty v2
 	// stream, a stream behind the retired v1 magic, assorted
@@ -58,7 +58,7 @@ func FuzzReadTrace(f *testing.F) {
 			f.Add(v2.Bytes()[:n])
 		}
 	}
-	f.Add(v2.Bytes()[:v2.Len()-trailerLen]) // no trailer: sequential-scan path
+	f.Add(v2.Bytes()[:v2.Len()-trailerLen]) // no trailer: rejected at open
 	f.Add([]byte("IDT2 but not really a trace"))
 	f.Add([]byte("IDTR nor this"))
 	f.Add([]byte{0xff, 0xfe, 0xfd})
@@ -88,43 +88,13 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(maxed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadBinary(bytes.NewReader(data))
-		if err == nil {
-			checkReencode(t, tr)
-		}
+		tr, err := readTrace(data)
 		// The magic is checked once the 10 fixed header bytes are in.
 		if len(data) >= 10 && bytes.HasPrefix(data, []byte("IDTR")) && !errors.Is(err, errRetiredV1) {
 			t.Fatalf("retired v1 input: got %v, want the retired-format error", err)
 		}
-		// Stream reader, seekable path (footer index + SeekTo).
-		if rd, err := NewReader(bytes.NewReader(data)); err == nil {
-			n, clean := 0, false
-			for {
-				c, err := rd.Next()
-				if err != nil {
-					clean = err == io.EOF
-					break
-				}
-				n += len(c.Records)
-				c.Release()
-			}
-			// The footer/body consistency invariant only holds for scans
-			// that reached a clean EOF; a mid-stream decode error leaves
-			// the count legitimately short.
-			if st, ok := rd.Stats(); ok && clean && rd.rs != nil && st.Packets != uint64(n) {
-				t.Fatalf("footer claims %d packets, decoded %d", st.Packets, n)
-			}
-			_ = rd.Incidents()
-		}
-		// Stream reader, sequential path (no seeking, no footer).
-		if rd, err := NewReader(nonSeeker{bytes.NewReader(data)}); err == nil {
-			for {
-				c, err := rd.Next()
-				if err != nil {
-					break
-				}
-				c.Release()
-			}
+		if err == nil {
+			checkReencode(t, tr)
 		}
 	})
 }
@@ -214,7 +184,8 @@ func checkReencode(t *testing.T, tr *Trace) {
 	var buf bytes.Buffer
 	if err := tr.WriteStream(&buf); err != nil {
 		// Decoded traces can still be unencodable (e.g. a hostile
-		// file whose chunks overlap in time); an error is fine.
+		// file whose timestamps overflow into negative durations); an
+		// error is fine.
 		return
 	}
 	rd, err := NewReader(bytes.NewReader(buf.Bytes()))

@@ -5,10 +5,11 @@
 // per-chunk string table for ground-truth labels, and one
 // contiguous payload arena that decoded packets slice into — zero payload
 // copies and a constant number of allocations per chunk instead of per
-// packet. A footer indexes every chunk's file offset and time bounds,
-// enabling time-range seek on any io.ReadSeeker, and carries the
-// ground-truth incident sidecar plus whole-trace summary statistics so a
-// streaming consumer can size its testbed before the first chunk decodes.
+// packet. A footer indexes every chunk's file offset and time bounds and
+// carries the ground-truth incident sidecar plus whole-trace summary
+// statistics. The Reader loads the footer before the first chunk decodes,
+// so a streaming consumer can size its testbed up front, and checks its
+// claims against the decoded records at the end.
 //
 // See DESIGN.md §8 for the wire layout and the reader's concurrency
 // contract.
@@ -25,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/simtime"
@@ -51,12 +53,6 @@ const (
 	maxIndexEntries = 1 << 24
 	maxIncidents    = 1 << 20
 
-	// bigBlockLen gates the remaining-bytes cross-check: block-length
-	// claims at or above it are verified against the source size (when
-	// knowable) before the buffer is allocated. Below it, a hostile
-	// length costs at most a small allocation and is caught by ReadFull.
-	bigBlockLen = 1 << 20
-
 	// minRecordEnc is the smallest possible wire encoding of one chunk
 	// record: three 1-byte varints (delta, seq, sent), 16 fixed bytes,
 	// and a 1-byte payload length.
@@ -75,11 +71,14 @@ const (
 // which no longer has a reader.
 var errRetiredV1 = errors.New("trace: retired v1 (IDTR) trace format is no longer read; regenerate the trace with trafficgen")
 
+// errNoFooter rejects a stream that does not end in a footer trailer.
+var errNoFooter = errors.New("trace: stream has no footer (truncated, or its writer never closed it)")
+
 // StreamStats are whole-trace summary statistics accumulated by the
-// Writer and recovered from the footer by a seekable Reader before any
-// chunk decodes. ClusterHosts/ExternalHosts mirror the testbed address
-// scheme (10.1.x.x cluster, 203.0.x.x external) so a streaming consumer
-// can size its topology without a pre-scan pass over the records.
+// writers and recovered from the footer by the Reader before any chunk
+// decodes. ClusterHosts/ExternalHosts size the testbed through the netsim
+// address plan (netsim.PlanSizing) so a streaming consumer can build its
+// topology without a pre-scan pass over the records.
 type StreamStats struct {
 	Packets        uint64
 	Bytes          uint64
@@ -100,27 +99,38 @@ func (s StreamStats) Duration() time.Duration {
 	return s.LastAt - s.FirstAt
 }
 
-// ChunkInfo is one footer index entry: where a chunk lives in the file
+// observe folds one record into the statistics, enforcing time order.
+func (s *StreamStats) observe(at time.Duration, p *packet.Packet) error {
+	if s.Packets > 0 && at < s.LastAt {
+		return fmt.Errorf("record at %v violates time order (last %v)", at, s.LastAt)
+	}
+	if s.Packets == 0 {
+		s.FirstAt = at
+	}
+	s.LastAt = at
+	s.Packets++
+	s.Bytes += uint64(p.WireLen())
+	if p.Truth.Malicious {
+		s.MaliciousPkts++
+	}
+	if len(p.Payload) > 0 {
+		s.PayloadPackets++
+	}
+	for _, a := range [2]packet.Addr{p.Src, p.Dst} {
+		c, e := netsim.PlanSizing(a)
+		s.ClusterHosts = max(s.ClusterHosts, c)
+		s.ExternalHosts = max(s.ExternalHosts, e)
+	}
+	return nil
+}
+
+// chunkInfo is one footer index entry: where a chunk lives in the file
 // and which time range it covers.
-type ChunkInfo struct {
+type chunkInfo struct {
 	Offset  uint64 // file offset of the chunk's block header
 	Records int
 	FirstAt time.Duration
 	LastAt  time.Duration
-}
-
-// hostIndexes mirrors the testbed addressing scheme used by
-// eval.RunTraceAccuracy so the footer can carry topology sizing.
-func hostIndexes(a packet.Addr) (cluster, external int) {
-	o1, o2, o3, o4 := a.Octets()
-	idx := int(o3-1)*250 + int(o4-1)
-	switch {
-	case o1 == 10 && o2 == 1:
-		return idx + 1, 0
-	case o1 == 203 && o2 == 0:
-		return 0, idx + 1
-	}
-	return 0, 0
 }
 
 // ---- Writer ----
@@ -129,8 +139,8 @@ func hostIndexes(a packet.Addr) (cluster, external int) {
 // accumulate into chunks of ChunkRecords and each full chunk is encoded
 // and flushed immediately, so writer memory is O(chunk) regardless of
 // capture length. Close writes the final partial chunk, the incident
-// sidecar, and the footer index; a Writer that is never Closed produces
-// a truncated (sequentially readable, unindexed) stream.
+// sidecar, and the footer index; the stream of a Writer that is never
+// Closed has no footer, and NewReader rejects it.
 type Writer struct {
 	bw  *bufio.Writer
 	off uint64 // bytes committed to bw, = next block's file offset
@@ -143,9 +153,8 @@ type Writer struct {
 	chunkRecords int
 
 	pend      []Record // records of the open chunk (packets borrowed until flush)
-	lastAt    time.Duration
 	stats     StreamStats
-	index     []ChunkInfo
+	index     []chunkInfo
 	incidents []attack.Incident
 
 	strIdx map[string]uint64 // per-chunk string table (reset at flush)
@@ -207,30 +216,8 @@ func (w *Writer) Append(at time.Duration, p *packet.Packet) error {
 	if at < 0 || p.Sent < 0 {
 		return fmt.Errorf("trace: negative time (at=%v sent=%v)", at, p.Sent)
 	}
-	if w.stats.Packets > 0 && at < w.lastAt {
-		return fmt.Errorf("trace: record at %v violates time order (last %v)", at, w.lastAt)
-	}
-	if w.stats.Packets == 0 {
-		w.stats.FirstAt = at
-	}
-	w.lastAt = at
-	w.stats.LastAt = at
-	w.stats.Packets++
-	w.stats.Bytes += uint64(p.WireLen())
-	if p.Truth.Malicious {
-		w.stats.MaliciousPkts++
-	}
-	if len(p.Payload) > 0 {
-		w.stats.PayloadPackets++
-	}
-	for _, a := range [2]packet.Addr{p.Src, p.Dst} {
-		c, e := hostIndexes(a)
-		if c > w.stats.ClusterHosts {
-			w.stats.ClusterHosts = c
-		}
-		if e > w.stats.ExternalHosts {
-			w.stats.ExternalHosts = e
-		}
+	if err := w.stats.observe(at, p); err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
 	w.pend = append(w.pend, Record{At: at, Pk: p})
 	if len(w.pend) >= w.chunkRecords {
@@ -318,7 +305,7 @@ func (w *Writer) flushChunk() error {
 		return fmt.Errorf("trace: chunk block %d exceeds %d bytes", len(buf), maxBlockLen)
 	}
 
-	w.index = append(w.index, ChunkInfo{
+	w.index = append(w.index, chunkInfo{
 		Offset:  w.off,
 		Records: len(recs),
 		FirstAt: recs[0].At,
@@ -467,34 +454,29 @@ func (c *Chunk) Release() {
 	}
 }
 
-// Reader streams an IDT2 trace chunk by chunk with O(chunk) memory. On
-// an io.ReadSeeker it reads the footer first, making Stats, Incidents,
-// and Index available before the first chunk decodes, and enabling
-// SeekTo; on a plain io.Reader it scans sequentially and incidents and
-// stats become available only once the stream ends.
+// Reader streams an IDT2 trace chunk by chunk with O(chunk) memory. It
+// reads the footer first: NewReader fails on a stream without a valid
+// footer, and Stats and Incidents are known before the first chunk
+// decodes, so a consumer can size its testbed up front. When Next
+// reaches the footer block it checks the footer's statistics against
+// the records it decoded, so a clean io.EOF means the footer was true.
 //
 // Concurrency contract: Next must be called from a single goroutine
 // (PipelinedReader moves it to a background worker); Release may be
 // called from a different goroutine than Next.
 type Reader struct {
 	br *bufio.Reader
-	rs io.ReadSeeker // nil when the source is not seekable
-	// base is the stream's start position within rs (footer offsets are
-	// stream-relative).
-	base int64
+	rs io.ReadSeeker
+	// end is the stream's length, and pos the offset of the next byte
+	// Next consumes through br.
+	end, pos int64
 
 	profile string
 	seed    int64
 
-	hasFooter bool
-	stats     StreamStats
+	stats     StreamStats // the footer's claims
+	seen      StreamStats // what Next has decoded so far
 	incidents []attack.Incident
-	haveIncs  bool
-	index     []ChunkInfo
-
-	// src is the raw source reader, kept so block-length claims can be
-	// checked against the source's remaining bytes before allocating.
-	src io.Reader
 
 	intern     map[string]string
 	strScratch []string
@@ -524,41 +506,31 @@ func (r *Reader) SetObs(reg *obs.Registry) {
 	r.hDecode = reg.Histogram("trace.decoder.decode_wall_ns", obs.ClockWall)
 }
 
-// NewReader opens an IDT2 stream. The header is consumed immediately;
-// if r seeks, the footer index and incident sidecar are loaded up front.
-func NewReader(r io.Reader) (*Reader, error) {
-	rd := &Reader{src: r, intern: make(map[string]string)}
-	if rs, ok := r.(io.ReadSeeker); ok {
-		rd.rs = rs
-		base, err := rs.Seek(0, io.SeekCurrent)
-		if err == nil {
-			rd.base = base
-		} else {
-			rd.rs = nil
-		}
+// NewReader opens the IDT2 stream that fills rs from offset 0. It reads
+// the header, then the footer and incident sidecar, and fails if any of
+// them is missing or malformed.
+func NewReader(rs io.ReadSeeker) (*Reader, error) {
+	end, err := rs.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, err
 	}
-	rd.br = bufio.NewReaderSize(r, 256<<10)
+	if _, err := rs.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	rd := &Reader{rs: rs, end: end, intern: make(map[string]string)}
+	rd.br = bufio.NewReaderSize(rs, 256<<10)
 	if err := rd.readHeader(); err != nil {
 		return nil, err
 	}
-	if rd.rs != nil {
-		if err := rd.loadFooter(); err != nil {
-			// Unindexed or truncated stream: fall back to a sequential
-			// scan with footer-dependent features disabled.
-			rd.stats = StreamStats{}
-			rd.index = nil
-			rd.hasFooter = false
-		}
-		// Position after the header for sequential chunk reads.
-		hdrLen := int64(headerFixedLen + len(rd.profile))
-		if _, err := rd.rs.Seek(rd.base+hdrLen, io.SeekStart); err != nil {
-			return nil, err
-		}
-		rd.br.Reset(rd.rs)
-		if !rd.hasFooter {
-			rd.rs = nil
-		}
+	if err := rd.loadFooter(); err != nil {
+		return nil, err
 	}
+	// Position after the header for the chunk reads.
+	rd.pos = int64(headerFixedLen + len(rd.profile))
+	if _, err := rs.Seek(rd.pos, io.SeekStart); err != nil {
+		return nil, err
+	}
+	rd.br.Reset(rs)
 	return rd, nil
 }
 
@@ -587,10 +559,13 @@ func (r *Reader) readHeader() error {
 	return nil
 }
 
-// loadFooter reads the trailer and footer of a seekable stream.
+// loadFooter reads the trailer, the footer and the incident sidecar.
 func (r *Reader) loadFooter() error {
-	end, err := r.rs.Seek(-trailerLen, io.SeekEnd)
-	if err != nil {
+	trailerAt := r.end - trailerLen
+	if trailerAt < int64(headerFixedLen+len(r.profile)) {
+		return errNoFooter
+	}
+	if _, err := r.rs.Seek(trailerAt, io.SeekStart); err != nil {
 		return err
 	}
 	var tr [trailerLen]byte
@@ -598,13 +573,13 @@ func (r *Reader) loadFooter() error {
 		return err
 	}
 	if binary.BigEndian.Uint32(tr[8:12]) != trailerMagic {
-		return errors.New("trace: no footer trailer")
+		return errNoFooter
 	}
 	footOff := int64(binary.BigEndian.Uint64(tr[0:8]))
-	if footOff < 0 || r.base+footOff >= end {
+	if footOff < 0 || footOff >= trailerAt {
 		return errors.New("trace: footer offset out of range")
 	}
-	typ, payload, err := r.readBlockAt(r.base + footOff)
+	typ, payload, err := r.readBlockAt(footOff)
 	if err != nil {
 		return err
 	}
@@ -624,38 +599,28 @@ func (r *Reader) loadFooter() error {
 	r.stats.LastAt = time.Duration(binary.BigEndian.Uint64(p[40:48]))
 	r.stats.ClusterHosts = int(binary.BigEndian.Uint32(p[48:52]))
 	r.stats.ExternalHosts = int(binary.BigEndian.Uint32(p[52:56]))
+	if r.stats.ClusterHosts > netsim.PlanCapacity || r.stats.ExternalHosts > netsim.PlanCapacity {
+		return fmt.Errorf("trace: footer claims %d cluster / %d external hosts, past the address plan's %d",
+			r.stats.ClusterHosts, r.stats.ExternalHosts, netsim.PlanCapacity)
+	}
 	nchunks := binary.BigEndian.Uint32(p[56:60])
 	if nchunks > maxIndexEntries {
 		return fmt.Errorf("trace: implausible chunk count %d", nchunks)
 	}
-	p = p[60:]
-	const entryLen = 8 + 4 + 8 + 8
-	if uint64(len(p)) != uint64(nchunks)*entryLen {
+	// The index entries (offset u64, records u32, first/last u64) are
+	// checked for length only: Next reads the chunks in order.
+	if uint64(len(p)-60) != uint64(nchunks)*(8+4+8+8) {
 		return errors.New("trace: footer index length mismatch")
 	}
-	r.index = make([]ChunkInfo, nchunks)
-	for i := range r.index {
-		e := p[i*entryLen:]
-		r.index[i] = ChunkInfo{
-			Offset:  binary.BigEndian.Uint64(e[0:8]),
-			Records: int(binary.BigEndian.Uint32(e[8:12])),
-			FirstAt: time.Duration(binary.BigEndian.Uint64(e[12:20])),
-			LastAt:  time.Duration(binary.BigEndian.Uint64(e[20:28])),
-		}
-	}
-	r.stats.Chunks = len(r.index)
-	typ, payload, err = r.readBlockAt(r.base + incOff)
+	r.stats.Chunks = int(nchunks)
+	typ, payload, err = r.readBlockAt(incOff)
 	if err != nil {
 		return err
 	}
 	if typ != blockIncidents {
 		return fmt.Errorf("trace: incident block has type %d", typ)
 	}
-	if err := r.parseIncidents(payload); err != nil {
-		return err
-	}
-	r.hasFooter = true
-	return nil
+	return r.parseIncidents(payload)
 }
 
 // readBlockAt seeks to off and reads one whole block into scratch.
@@ -667,22 +632,11 @@ func (r *Reader) readBlockAt(off int64) (byte, []byte, error) {
 	if _, err := io.ReadFull(r.rs, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	blen := binary.BigEndian.Uint32(hdr[1:5])
-	if blen > maxBlockLen {
-		return 0, nil, fmt.Errorf("trace: block length %d exceeds limit", blen)
+	blen, err := r.checkBlockLen(hdr, off+5)
+	if err != nil {
+		return 0, nil, err
 	}
-	if blen >= bigBlockLen {
-		if end, err := r.rs.Seek(0, io.SeekEnd); err == nil {
-			rem := end - (off + 5)
-			if _, err := r.rs.Seek(off+5, io.SeekStart); err != nil {
-				return 0, nil, err
-			}
-			if int64(blen) > rem {
-				return 0, nil, fmt.Errorf("trace: block length %d exceeds remaining %d bytes", blen, rem)
-			}
-		}
-	}
-	if cap(r.scratch) < int(blen) {
+	if cap(r.scratch) < blen {
 		r.scratch = make([]byte, blen)
 	}
 	buf := r.scratch[:blen]
@@ -692,89 +646,39 @@ func (r *Reader) readBlockAt(off int64) (byte, []byte, error) {
 	return hdr[0], buf, nil
 }
 
+// checkBlockLen validates a block header's length claim against the
+// hard cap and against the bytes the stream holds past at, so a corrupt
+// length fails here instead of sizing an allocation.
+func (r *Reader) checkBlockLen(hdr [5]byte, at int64) (int, error) {
+	blen := binary.BigEndian.Uint32(hdr[1:5])
+	if blen > maxBlockLen {
+		return 0, fmt.Errorf("trace: block length %d exceeds limit", blen)
+	}
+	if rem := r.end - at; int64(blen) > rem {
+		return 0, fmt.Errorf("trace: block length %d exceeds remaining %d bytes", blen, rem)
+	}
+	return int(blen), nil
+}
+
 // Profile returns the trace's generation profile name.
 func (r *Reader) Profile() string { return r.profile }
 
 // Seed returns the trace's generation seed.
 func (r *Reader) Seed() int64 { return r.seed }
 
-// Stats returns whole-trace statistics and whether they are known yet:
-// immediately on an indexed (seekable) stream, after the footer on a
-// sequential scan.
-func (r *Reader) Stats() (StreamStats, bool) {
-	return r.stats, r.hasFooter || r.finished
-}
+// Stats returns the whole-trace statistics the footer claims. Next
+// verifies them when it reaches the footer block.
+func (r *Reader) Stats() StreamStats { return r.stats }
 
-// Incidents returns the ground-truth sidecar, or nil if not yet known.
-func (r *Reader) Incidents() []attack.Incident {
-	if !r.haveIncs {
-		return nil
-	}
-	return r.incidents
-}
-
-// Index returns the chunk index (seekable streams only).
-func (r *Reader) Index() []ChunkInfo { return r.index }
+// Incidents returns the ground-truth sidecar.
+func (r *Reader) Incidents() []attack.Incident { return r.incidents }
 
 // ChunksRead reports how many chunks have been decoded so far.
 func (r *Reader) ChunksRead() int { return int(r.chunksRead.Load()) }
 
-// SeekTo repositions the stream so the next chunk returned by Next is
-// the first one whose time range ends at or after t. It requires an
-// indexed, seekable stream.
-func (r *Reader) SeekTo(t time.Duration) error {
-	if r.rs == nil || !r.hasFooter {
-		return errors.New("trace: SeekTo requires an indexed seekable stream")
-	}
-	lo, hi := 0, len(r.index)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if r.index[mid].LastAt < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	var off int64
-	if lo == len(r.index) {
-		// Past the last chunk: position at the incident block so Next
-		// returns io.EOF after consuming the tail blocks.
-		if len(r.index) == 0 {
-			return r.seekStart()
-		}
-		last := r.index[len(r.index)-1]
-		off = r.base + int64(last.Offset)
-		// Skip the last chunk entirely.
-		if _, err := r.rs.Seek(off, io.SeekStart); err != nil {
-			return err
-		}
-		var hdr [5]byte
-		if _, err := io.ReadFull(r.rs, hdr[:]); err != nil {
-			return err
-		}
-		off += 5 + int64(binary.BigEndian.Uint32(hdr[1:5]))
-	} else {
-		off = r.base + int64(r.index[lo].Offset)
-	}
-	if _, err := r.rs.Seek(off, io.SeekStart); err != nil {
-		return err
-	}
-	r.br.Reset(r.rs)
-	r.finished = false
-	return nil
-}
-
-func (r *Reader) seekStart() error {
-	hdrLen := int64(headerFixedLen + len(r.profile))
-	if _, err := r.rs.Seek(r.base+hdrLen, io.SeekStart); err != nil {
-		return err
-	}
-	r.br.Reset(r.rs)
-	r.finished = false
-	return nil
-}
-
-// Next returns the next decoded chunk, or io.EOF at end of trace.
+// Next returns the next decoded chunk, or io.EOF at end of trace. At
+// the footer block it returns an error instead of io.EOF if the
+// decoded records do not match the footer's statistics.
 func (r *Reader) Next() (*Chunk, error) {
 	if r.finished {
 		return nil, io.EOF
@@ -782,28 +686,16 @@ func (r *Reader) Next() (*Chunk, error) {
 	for {
 		var hdr [5]byte
 		if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
-			if err == io.EOF {
-				// Unindexed stream that ended cleanly after a block.
-				r.finished = true
-				return nil, io.EOF
-			}
 			return nil, fmt.Errorf("trace: block header: %w", err)
 		}
-		blen := binary.BigEndian.Uint32(hdr[1:5])
-		if blen > maxBlockLen {
-			return nil, fmt.Errorf("trace: block length %d exceeds limit", blen)
+		blen, err := r.checkBlockLen(hdr, r.pos+5)
+		if err != nil {
+			return nil, err
 		}
-		if blen >= bigBlockLen {
-			// A large claimed length is cross-checked against the bytes
-			// the source can still produce, so a corrupt length field
-			// fails here instead of allocating the claimed size.
-			if rem, ok := remainingBytes(r.br, r.src); ok && uint64(blen) > rem {
-				return nil, fmt.Errorf("trace: block length %d exceeds remaining %d bytes", blen, rem)
-			}
-		}
+		r.pos += 5 + int64(blen)
 		switch hdr[0] {
 		case blockChunk:
-			c := r.getChunk(int(blen))
+			c := r.getChunk(blen)
 			if _, err := io.ReadFull(r.br, c.buf); err != nil {
 				return nil, fmt.Errorf("trace: chunk body: %w", err)
 			}
@@ -817,36 +709,25 @@ func (r *Reader) Next() (*Chunk, error) {
 			if r.hDecode != nil {
 				r.hDecode.Observe(int64(time.Since(t0)))
 			}
+			r.seen.Chunks++
 			r.chunksRead.Add(1)
 			r.cChunks.Inc()
 			r.cRecords.Add(uint64(len(c.Records)))
 			r.cBytes.Add(uint64(blen) + 5)
 			return c, nil
 		case blockIncidents:
-			if cap(r.scratch) < int(blen) {
-				r.scratch = make([]byte, blen)
-			}
-			buf := r.scratch[:blen]
-			if _, err := io.ReadFull(r.br, buf); err != nil {
+			// Loaded at open.
+			if _, err := r.br.Discard(blen); err != nil {
 				return nil, fmt.Errorf("trace: incident block: %w", err)
 			}
-			if !r.haveIncs {
-				if err := r.parseIncidents(buf); err != nil {
-					return nil, err
-				}
-			}
 		case blockFooter:
-			// Terminal block: consume and stop (footer contents were
-			// either loaded at open or are only needed for Stats).
-			if cap(r.scratch) < int(blen) {
-				r.scratch = make([]byte, blen)
-			}
-			buf := r.scratch[:blen]
-			if _, err := io.ReadFull(r.br, buf); err != nil {
+			// Terminal block, loaded at open: hold its claims against
+			// the records the chunks actually carried.
+			if _, err := r.br.Discard(blen); err != nil {
 				return nil, fmt.Errorf("trace: footer block: %w", err)
 			}
-			if !r.hasFooter {
-				r.parseFooterStats(buf)
+			if r.seen != r.stats {
+				return nil, fmt.Errorf("trace: footer claims %+v, the stream holds %+v", r.stats, r.seen)
 			}
 			r.finished = true
 			return nil, io.EOF
@@ -854,24 +735,6 @@ func (r *Reader) Next() (*Chunk, error) {
 			return nil, fmt.Errorf("trace: unknown block type %d", hdr[0])
 		}
 	}
-}
-
-// parseFooterStats recovers summary statistics from a sequentially
-// scanned footer (best effort; index omitted).
-func (r *Reader) parseFooterStats(payload []byte) {
-	if len(payload) < 8+6*8+3*4 {
-		return
-	}
-	p := payload[8:]
-	r.stats.Packets = binary.BigEndian.Uint64(p[0:8])
-	r.stats.Bytes = binary.BigEndian.Uint64(p[8:16])
-	r.stats.MaliciousPkts = binary.BigEndian.Uint64(p[16:24])
-	r.stats.PayloadPackets = binary.BigEndian.Uint64(p[24:32])
-	r.stats.FirstAt = time.Duration(binary.BigEndian.Uint64(p[32:40]))
-	r.stats.LastAt = time.Duration(binary.BigEndian.Uint64(p[40:48]))
-	r.stats.ClusterHosts = int(binary.BigEndian.Uint32(p[48:52]))
-	r.stats.ExternalHosts = int(binary.BigEndian.Uint32(p[52:56]))
-	r.stats.Chunks = int(binary.BigEndian.Uint32(p[56:60]))
 }
 
 func (r *Reader) parseIncidents(payload []byte) error {
@@ -917,7 +780,6 @@ func (r *Reader) parseIncidents(payload []byte) error {
 		incs = append(incs, in)
 	}
 	r.incidents = incs
-	r.haveIncs = true
 	return nil
 }
 
@@ -1102,6 +964,9 @@ func (r *Reader) decodeChunkBody(c *Chunk) ([]byte, error) {
 			pk.Payload = arena[arenaOff : arenaOff+plen : arenaOff+plen]
 			arenaOff += plen
 		}
+		if err := r.seen.observe(at, pk); err != nil {
+			return p, err
+		}
 		c.Records[i] = Record{At: at, Pk: pk}
 	}
 	if arenaOff != arenaLen {
@@ -1149,72 +1014,25 @@ func minU64(a, b uint64) uint64 {
 	return b
 }
 
-// remainingBytes reports how many unread bytes the source holds, when
-// that is knowable without consuming it: buffered bytes plus the
-// underlying reader's remainder for in-memory readers (Len) and
-// seekable sources.
-func remainingBytes(br *bufio.Reader, r io.Reader) (uint64, bool) {
-	under := int64(-1)
-	switch s := r.(type) {
-	case interface{ Len() int }:
-		under = int64(s.Len())
-	case io.Seeker:
-		cur, err1 := s.Seek(0, io.SeekCurrent)
-		end, err2 := s.Seek(0, io.SeekEnd)
-		if err1 == nil && err2 == nil {
-			if _, err := s.Seek(cur, io.SeekStart); err == nil {
-				under = end - cur
-			}
-		}
-	}
-	if under < 0 {
-		return 0, false
-	}
-	return uint64(under) + uint64(br.Buffered()), true
-}
-
-// ReadBinary materializes a whole IDT2 stream as an in-memory Trace.
-// Chunks are not released, so the returned records and payloads stay
-// valid for the life of the Trace. Use NewReader to stream in O(chunk)
-// memory instead.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	rd, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{Profile: rd.Profile(), Seed: rd.Seed()}
-	if st, ok := rd.Stats(); ok {
-		t.Records = make([]Record, 0, minU64(st.Packets, 1<<20))
-	}
-	for {
-		c, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Records = append(t.Records, c.Records...)
-	}
-	if incs := rd.Incidents(); len(incs) > 0 {
-		t.Incidents = incs
-	}
-	return t, nil
-}
-
 // ---- streaming recorder ----
 
-// StreamRecorder captures packets straight into an IDT2 Writer, so
+// Appender is the sink a StreamRecorder feeds: the IDT2 *Writer or the
+// *JSONLWriter.
+type Appender interface {
+	Append(at time.Duration, p *packet.Packet) error
+}
+
+// StreamRecorder captures packets straight into a streaming writer, so
 // recording memory is O(chunk) instead of O(capture). Plug Emit into a
 // generator or netsim tap like Recorder's.
 type StreamRecorder struct {
 	sim *simtime.Sim
-	w   *Writer
+	w   Appender
 	err error
 }
 
 // NewStreamRecorder creates a recorder stamping records with sim's clock.
-func NewStreamRecorder(sim *simtime.Sim, w *Writer) *StreamRecorder {
+func NewStreamRecorder(sim *simtime.Sim, w Appender) *StreamRecorder {
 	return &StreamRecorder{sim: sim, w: w}
 }
 

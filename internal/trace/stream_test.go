@@ -2,8 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"io"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,18 +75,32 @@ func encodeStream(t testing.TB, tr *Trace, chunkRecords int) []byte {
 	return buf.Bytes()
 }
 
-func TestStreamRoundTripViaReadBinary(t *testing.T) {
-	tr := sampleTrace(t)
-	var buf bytes.Buffer
-	if err := tr.WriteStream(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// A bytes.Buffer cannot seek: ReadBinary takes the sequential path.
-	got, err := ReadBinary(&buf)
+// readTrace materializes an IDT2 stream through NewReader and Next, the
+// production read path. Chunks are never released, so the records stay
+// valid for the life of the returned Trace.
+func readTrace(data []byte) (*Trace, error) {
+	rd, err := NewReader(bytes.NewReader(data))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	traceEqual(t, tr, got)
+	tr := &Trace{Profile: rd.Profile(), Seed: rd.Seed(), Incidents: rd.Incidents()}
+	for {
+		c, err := rd.Next()
+		if err == io.EOF {
+			return tr, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		tr.Records = append(tr.Records, c.Records...)
+	}
+}
+
+// footerStats returns the offset of the footer's statistics in an
+// encoded stream: packets at +0, cluster hosts at +48 (u32).
+func footerStats(data []byte) int {
+	footOff := binary.BigEndian.Uint64(data[len(data)-trailerLen:])
+	return int(footOff) + 5 + 8 // block header, incidents offset
 }
 
 func TestStreamReaderChunksAndStats(t *testing.T) {
@@ -92,23 +110,29 @@ func TestStreamReaderChunksAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := rd.Stats()
-	if !ok {
-		t.Fatal("seekable stream: stats not available up front")
-	}
+	st := rd.Stats()
 	if st.Packets != uint64(len(tr.Records)) {
 		t.Fatalf("stats packets %d, want %d", st.Packets, len(tr.Records))
 	}
-	s := tr.Summarize()
-	if st.Bytes != uint64(s.Bytes) || st.MaliciousPkts != uint64(s.MaliciousPkts) {
-		t.Fatalf("stats %+v vs summary %+v", st, s)
+	var wireBytes, malicious uint64
+	for _, r := range tr.Records {
+		wireBytes += uint64(r.Pk.WireLen())
+		if r.Pk.Truth.Malicious {
+			malicious++
+		}
 	}
-	if st.Duration() != s.Duration {
-		t.Fatalf("duration %v vs %v", st.Duration(), s.Duration)
+	if st.Bytes != wireBytes || st.MaliciousPkts != malicious {
+		t.Fatalf("stats %+v, want %d bytes, %d malicious", st, wireBytes, malicious)
+	}
+	if st.Duration() != tr.Duration() {
+		t.Fatalf("duration %v vs %v", st.Duration(), tr.Duration())
+	}
+	if st.ClusterHosts != 2 || st.ExternalHosts != 1 {
+		t.Fatalf("sizing %d cluster / %d external, want 2 / 1", st.ClusterHosts, st.ExternalHosts)
 	}
 	wantChunks := (len(tr.Records) + 63) / 64
-	if st.Chunks != wantChunks || len(rd.Index()) != wantChunks {
-		t.Fatalf("chunks %d / index %d, want %d", st.Chunks, len(rd.Index()), wantChunks)
+	if st.Chunks != wantChunks {
+		t.Fatalf("chunks %d, want %d", st.Chunks, wantChunks)
 	}
 	if len(rd.Incidents()) != len(tr.Incidents) {
 		t.Fatalf("incidents %d, want %d (up front)", len(rd.Incidents()), len(tr.Incidents))
@@ -154,21 +178,15 @@ func TestStreamReaderChunksAndStats(t *testing.T) {
 	})
 }
 
-// nonSeeker hides the ReadSeeker of a bytes.Reader.
-type nonSeeker struct{ r io.Reader }
-
-func (n nonSeeker) Read(p []byte) (int, error) { return n.r.Read(p) }
-
 func TestStreamSequentialScan(t *testing.T) {
+	// Next walks the chunks in file order, steps over the incident
+	// block, checks the footer, and then stays at io.EOF.
 	tr := sampleTrace(t)
-	data := encodeStream(t, tr, 128)
-	rd, err := NewReader(nonSeeker{bytes.NewReader(data)})
+	rd, err := NewReader(bytes.NewReader(encodeStream(t, tr, 128)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := rd.Stats(); ok {
-		t.Fatal("sequential scan: stats claimed before EOF")
-	}
+	var last time.Duration
 	n := 0
 	for {
 		c, err := rd.Next()
@@ -178,76 +196,20 @@ func TestStreamSequentialScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n += len(c.Records)
-	}
-	if n != len(tr.Records) {
-		t.Fatalf("scanned %d records, want %d", n, len(tr.Records))
-	}
-	st, ok := rd.Stats()
-	if !ok || st.Packets != uint64(len(tr.Records)) {
-		t.Fatalf("stats after EOF: ok=%v %+v", ok, st)
-	}
-	if len(rd.Incidents()) != len(tr.Incidents) {
-		t.Fatal("incidents missing after sequential scan")
-	}
-	if err := rd.SeekTo(0); err == nil {
-		t.Fatal("SeekTo on sequential stream accepted")
-	}
-}
-
-func TestStreamSeekTo(t *testing.T) {
-	tr := sampleTrace(t)
-	data := encodeStream(t, tr, 32)
-	rd, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid := tr.Records[len(tr.Records)/2].At
-	if err := rd.SeekTo(mid); err != nil {
-		t.Fatal(err)
-	}
-	c, err := rd.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.LastAt() < mid {
-		t.Fatalf("chunk ends %v, before seek target %v", c.LastAt(), mid)
-	}
-	// The previous chunk (if any) must end before mid: we landed on the
-	// first chunk whose range can contain mid.
-	idx := rd.Index()
-	for i, ci := range idx {
-		if ci.FirstAt == c.FirstAt() && i > 0 && idx[i-1].LastAt >= mid {
-			t.Fatal("seek overshot: an earlier chunk also covers the target")
+		if c.FirstAt() < last {
+			t.Fatalf("chunk at %v after one ending %v", c.FirstAt(), last)
 		}
-	}
-	c.Release()
-
-	// Seeking past the end drains to EOF.
-	if err := rd.SeekTo(tr.Records[len(tr.Records)-1].At + time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rd.Next(); err != io.EOF {
-		t.Fatalf("seek past end: got %v, want EOF", err)
-	}
-	// Rewind to the start replays everything.
-	if err := rd.SeekTo(0); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		c, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		last = c.LastAt()
 		n += len(c.Records)
 		c.Release()
 	}
-	if n != len(tr.Records) {
-		t.Fatalf("after rewind scanned %d records, want %d", n, len(tr.Records))
+	if n != len(tr.Records) || rd.ChunksRead() != rd.Stats().Chunks {
+		t.Fatalf("scanned %d records in %d chunks, footer says %+v", n, rd.ChunksRead(), rd.Stats())
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := rd.Next(); err != io.EOF {
+			t.Fatalf("Next after the footer: %v, want io.EOF", err)
+		}
 	}
 }
 
@@ -387,7 +349,7 @@ func TestStreamRecorderMatchesRecorder(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := readTrace(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,9 +426,8 @@ func TestEmptyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := rd.Stats()
-	if !ok || st.Packets != 0 || st.Chunks != 0 {
-		t.Fatalf("empty stream stats: ok=%v %+v", ok, st)
+	if st := rd.Stats(); st.Packets != 0 || st.Chunks != 0 {
+		t.Fatalf("empty stream stats: %+v", st)
 	}
 	if _, err := rd.Next(); err != io.EOF {
 		t.Fatalf("empty stream Next: %v, want EOF", err)
@@ -481,30 +442,114 @@ func TestEmptyStream(t *testing.T) {
 }
 
 func TestJSONLBinaryStreamEquality(t *testing.T) {
-	// The format-conversion pair: the same trace written as JSONL and
-	// as an IDT2 stream decodes to identical records, incidents, and
-	// metadata from both.
+	// The two encodings carry the same trace: the JSONL writer's lines
+	// name the same records, in order, as the IDT2 stream decodes to,
+	// its trailer carries the same metadata and incidents, and both
+	// writers account the same statistics.
 	tr := sampleTrace(t)
-
-	var jbuf, v2buf bytes.Buffer
-	if err := tr.WriteJSONL(&jbuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteStream(&v2buf); err != nil {
-		t.Fatal(err)
-	}
-
-	fromJSONL, err := ReadJSONL(&jbuf)
+	jbuf, jstats := writeJSONL(t, tr)
+	data := encodeStream(t, tr, DefaultChunkRecords)
+	fromV2, err := readTrace(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromV2, err := ReadBinary(&v2buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traceEqual(t, tr, fromJSONL)
 	traceEqual(t, tr, fromV2)
-	traceEqual(t, fromJSONL, fromV2)
+
+	lines := strings.Split(strings.TrimSuffix(jbuf.String(), "\n"), "\n")
+	if len(lines) != len(fromV2.Records)+1 {
+		t.Fatalf("%d JSONL lines, want %d records + trailer", len(lines), len(fromV2.Records))
+	}
+	for i, r := range fromV2.Records {
+		var jr jsonRecord
+		if err := json.Unmarshal([]byte(lines[i]), &jr); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		p := r.Pk
+		flags := ""
+		if p.Proto == packet.ProtoTCP {
+			flags = p.Flags.String()
+		}
+		if jr.AtNs != int64(r.At) || jr.SentNs != int64(p.Sent) || jr.Seq != p.Seq ||
+			jr.Src != p.Src.String() || jr.Dst != p.Dst.String() ||
+			jr.SrcPort != p.SrcPort || jr.DstPort != p.DstPort || jr.Proto != uint8(p.Proto) ||
+			jr.Flags != flags || jr.TTL != p.TTL || !bytes.Equal(jr.Payload, p.Payload) ||
+			jr.Malicious != p.Truth.Malicious || jr.AttackID != p.Truth.AttackID ||
+			jr.Technique != p.Truth.Technique {
+			t.Fatalf("line %d %+v differs from IDT2 record %+v", i, jr, p)
+		}
+	}
+	var trailer jsonTrailer
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &trailer); err != nil {
+		t.Fatal(err)
+	}
+	if trailer.Meta != "trailer" || trailer.Profile != tr.Profile || trailer.Seed != tr.Seed ||
+		!reflect.DeepEqual(trailer.Incidents, fromV2.Incidents) {
+		t.Fatalf("trailer %+v does not match the IDT2 header and sidecar", trailer)
+	}
+	rd, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2stats := rd.Stats()
+	v2stats.Chunks = 0 // JSONL has no chunks
+	if jstats != v2stats {
+		t.Fatalf("JSONL writer stats %+v, IDT2 footer %+v", jstats, v2stats)
+	}
+}
+
+func TestFooterPlanSizingSkipsOffPlanAddresses(t *testing.T) {
+	// 10.1.0.5 has a zero third octet, so it lies outside the address
+	// plan and sizes nothing; 10.1.1.2 is cluster host 1.
+	tr := &Trace{Profile: "plan", Seed: 1}
+	for i, a := range []packet.Addr{packet.IPv4(10, 1, 0, 5), packet.IPv4(10, 1, 1, 2)} {
+		if err := tr.Append(time.Duration(i), &packet.Packet{Src: a, Dst: a}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rd, err := NewReader(bytes.NewReader(encodeStream(t, tr, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rd.Stats(); st.ClusterHosts != 2 || st.ExternalHosts != 0 {
+		t.Fatalf("sizing %d cluster / %d external, want 2 / 0", st.ClusterHosts, st.ExternalHosts)
+	}
+}
+
+func TestFooterClaimsChecked(t *testing.T) {
+	tr := sampleTrace(t)
+	data := encodeStream(t, tr, 64)
+	stats := footerStats(data)
+
+	// A host claim past the plan's capacity fails at open.
+	huge := append([]byte(nil), data...)
+	binary.BigEndian.PutUint32(huge[stats+48:], 70000)
+	if _, err := NewReader(bytes.NewReader(huge)); err == nil ||
+		!strings.Contains(err.Error(), "past the address plan") {
+		t.Fatalf("70000-host footer: got %v, want the capacity error", err)
+	}
+
+	// Claims within capacity that the records contradict open fine and
+	// fail when Next reaches the footer: a host count, a packet count.
+	for name, patch := range map[string]func(b []byte){
+		"hosts":   func(b []byte) { binary.BigEndian.PutUint32(b[stats+48:], 60000) },
+		"packets": func(b []byte) { binary.BigEndian.PutUint64(b[stats:], uint64(len(tr.Records)+1)) },
+	} {
+		lying := append([]byte(nil), data...)
+		patch(lying)
+		rd, err := NewReader(bytes.NewReader(lying))
+		if err != nil {
+			t.Fatalf("%s: open: %v", name, err)
+		}
+		for err == nil {
+			_, err = rd.Next()
+		}
+		if err == io.EOF || !strings.Contains(err.Error(), "footer claims") {
+			t.Fatalf("%s: got %v, want the footer-mismatch error", name, err)
+		}
+		if _, err := readTrace(lying); err == nil {
+			t.Fatalf("%s: lying footer read cleanly", name)
+		}
+	}
 }
 
 func TestDecodeAllocsPerChunk(t *testing.T) {
@@ -676,7 +721,7 @@ func BenchmarkReplayLiveHeap(b *testing.B) {
 	b.Run("inmemory", func(b *testing.B) {
 		measure(b, func(emit func(p *packet.Packet)) {
 			sim := simtime.New(1)
-			loaded, err := ReadBinary(bytes.NewReader(data))
+			loaded, err := readTrace(data)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,17 +6,14 @@
 // sidecar; Replay feeds it back through any emit path at original or
 // scaled pacing.
 //
-// Two encodings are provided: the chunked streaming binary format IDT2
-// (stream.go) for benchmark traces, and JSON-lines for human inspection
-// and interchange.
+// Two encodings are written: the chunked streaming binary format IDT2
+// (stream.go), which every consumer replays through Reader, and JSON
+// lines (jsonl.go) for human inspection only; nothing reads JSONL back.
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/attack"
@@ -57,43 +54,6 @@ func (t *Trace) Duration() time.Duration {
 		return 0
 	}
 	return t.Records[len(t.Records)-1].At - t.Records[0].At
-}
-
-// Stats summarizes the trace for reports.
-type Stats struct {
-	Packets        int
-	Bytes          int
-	MaliciousPkts  int
-	Incidents      int
-	Duration       time.Duration
-	AvgPps         float64
-	DistinctAddrs  int
-	PayloadPackets int
-}
-
-// Summarize computes Stats.
-func (t *Trace) Summarize() Stats {
-	var s Stats
-	s.Packets = len(t.Records)
-	s.Incidents = len(t.Incidents)
-	s.Duration = t.Duration()
-	addrs := make(map[packet.Addr]bool)
-	for _, r := range t.Records {
-		s.Bytes += r.Pk.WireLen()
-		if r.Pk.Truth.Malicious {
-			s.MaliciousPkts++
-		}
-		if len(r.Pk.Payload) > 0 {
-			s.PayloadPackets++
-		}
-		addrs[r.Pk.Src] = true
-		addrs[r.Pk.Dst] = true
-	}
-	s.DistinctAddrs = len(addrs)
-	if s.Duration > 0 {
-		s.AvgPps = float64(s.Packets) / s.Duration.Seconds()
-	}
-	return s
 }
 
 // Recorder captures packets into a Trace; plug its Emit into a generator
@@ -145,58 +105,4 @@ func Replay(sim *simtime.Sim, t *Trace, start time.Duration, speedup float64, em
 		}
 	}
 	return nil
-}
-
-// ---- JSON-lines encoding ----
-
-// jsonRecord is the JSONL wire form of one record.
-type jsonRecord struct {
-	AtNs      int64  `json:"at_ns"`
-	SentNs    int64  `json:"sent_ns,omitempty"`
-	Seq       uint64 `json:"seq"`
-	Src       string `json:"src"`
-	Dst       string `json:"dst"`
-	SrcPort   uint16 `json:"sport"`
-	DstPort   uint16 `json:"dport"`
-	Proto     uint8  `json:"proto"`
-	Flags     string `json:"flags,omitempty"`
-	TTL       uint8  `json:"ttl"`
-	Payload   []byte `json:"payload,omitempty"`
-	Malicious bool   `json:"malicious,omitempty"`
-	AttackID  string `json:"attack_id,omitempty"`
-	Technique string `json:"technique,omitempty"`
-}
-
-// WriteJSONL writes one JSON object per record. Ground truth and the
-// incident sidecar are included in a trailing meta object.
-func (t *Trace) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, r := range t.Records {
-		p := r.Pk
-		jr := jsonRecord{
-			AtNs: int64(r.At), SentNs: int64(p.Sent), Seq: p.Seq,
-			Src: p.Src.String(), Dst: p.Dst.String(),
-			SrcPort: p.SrcPort, DstPort: p.DstPort,
-			Proto: uint8(p.Proto), TTL: p.TTL, Payload: p.Payload,
-			Malicious: p.Truth.Malicious, AttackID: p.Truth.AttackID,
-			Technique: p.Truth.Technique,
-		}
-		if p.Proto == packet.ProtoTCP {
-			jr.Flags = p.Flags.String()
-		}
-		if err := enc.Encode(jr); err != nil {
-			return err
-		}
-	}
-	meta := struct {
-		Meta      string            `json:"meta"`
-		Profile   string            `json:"profile"`
-		Seed      int64             `json:"seed"`
-		Incidents []attack.Incident `json:"incidents"`
-	}{Meta: "trailer", Profile: t.Profile, Seed: t.Seed, Incidents: t.Incidents}
-	if err := enc.Encode(meta); err != nil {
-		return err
-	}
-	return bw.Flush()
 }

@@ -44,18 +44,23 @@ func sampleTrace(t *testing.T) *Trace {
 
 func TestRecorderCapturesMixedTraffic(t *testing.T) {
 	tr := sampleTrace(t)
-	s := tr.Summarize()
-	if s.Packets < 100 {
-		t.Fatalf("only %d packets captured", s.Packets)
+	malicious := 0
+	for _, r := range tr.Records {
+		if r.Pk.Truth.Malicious {
+			malicious++
+		}
 	}
-	if s.MaliciousPkts == 0 || s.MaliciousPkts >= s.Packets {
-		t.Fatalf("malicious packets = %d of %d", s.MaliciousPkts, s.Packets)
+	if len(tr.Records) < 100 {
+		t.Fatalf("only %d packets captured", len(tr.Records))
 	}
-	if s.Incidents != 2 {
-		t.Fatalf("incidents = %d", s.Incidents)
+	if malicious == 0 || malicious >= len(tr.Records) {
+		t.Fatalf("malicious packets = %d of %d", malicious, len(tr.Records))
 	}
-	if s.Duration <= 0 || s.AvgPps <= 0 {
-		t.Fatalf("stats = %+v", s)
+	if len(tr.Incidents) != 2 {
+		t.Fatalf("incidents = %d", len(tr.Incidents))
+	}
+	if tr.Duration() <= 0 {
+		t.Fatalf("duration = %v", tr.Duration())
 	}
 }
 
@@ -74,50 +79,67 @@ func TestAppendEnforcesTimeOrder(t *testing.T) {
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
-	// A seekable source: ReadBinary loads the footer index up front.
 	tr := sampleTrace(t)
 	var buf bytes.Buffer
 	if err := tr.WriteStream(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+	got, err := readTrace(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	traceEqual(t, tr, got)
 }
 
-func TestReadBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("not a trace at all....")); err == nil {
+func TestNewReaderRejectsGarbage(t *testing.T) {
+	if _, err := NewReader(strings.NewReader("not a trace at all....")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := ReadBinary(strings.NewReader("")); err == nil {
+	if _, err := NewReader(strings.NewReader("")); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	// Truncated valid prefix.
 	tr := sampleTrace(t)
 	var buf bytes.Buffer
 	if err := tr.WriteStream(&buf); err != nil {
 		t.Fatal(err)
 	}
-	half := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadBinary(bytes.NewReader(half)); err == nil {
-		t.Fatal("truncated trace accepted")
+	data := buf.Bytes()
+	// A truncated prefix, and a stream cut just before its trailer, have
+	// no footer: both fail at open.
+	for _, cut := range []int{len(data) / 2, len(data) - trailerLen} {
+		if _, err := NewReader(bytes.NewReader(data[:cut])); err == nil ||
+			!errors.Is(err, errNoFooter) {
+			t.Fatalf("stream cut at %d of %d: got %v, want the missing-footer error", cut, len(data), err)
+		}
 	}
 	// A retired v1 file fails with an error that says what to do.
-	v1 := append([]byte("IDTR"), buf.Bytes()[4:]...)
-	if _, err := ReadBinary(bytes.NewReader(v1)); !errors.Is(err, errRetiredV1) ||
+	v1 := append([]byte("IDTR"), data[4:]...)
+	if _, err := NewReader(bytes.NewReader(v1)); !errors.Is(err, errRetiredV1) ||
 		!strings.Contains(err.Error(), "trafficgen") {
 		t.Fatalf("v1 input: got %v, want the retired-format error", err)
 	}
 }
 
-func TestJSONLIncludesTruthAndTrailer(t *testing.T) {
-	tr := sampleTrace(t)
+// writeJSONL encodes tr through the streaming JSONL writer.
+func writeJSONL(t testing.TB, tr *Trace) (*bytes.Buffer, StreamStats) {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	w := NewJSONLWriter(&buf, tr.Profile, tr.Seed)
+	for _, r := range tr.Records {
+		if err := w.Append(r.At, r.Pk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.SetIncidents(tr.Incidents)
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return &buf, w.Stats()
+}
+
+func TestJSONLIncludesTruthAndTrailer(t *testing.T) {
+	tr := sampleTrace(t)
+	buf, _ := writeJSONL(t, tr)
 	out := buf.String()
 	lines := strings.Count(out, "\n")
 	if lines != len(tr.Records)+1 {
@@ -206,7 +228,7 @@ func TestPropertyBinaryRoundTrip(t *testing.T) {
 		if err := tr.WriteStream(&buf); err != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf)
+		got, err := readTrace(buf.Bytes())
 		if err != nil || len(got.Records) != 1 {
 			return false
 		}
@@ -240,10 +262,18 @@ func sampleTraceForBench(b testing.TB) *Trace {
 }
 
 func TestSummarizeEmptyTrace(t *testing.T) {
-	var tr Trace
-	s := tr.Summarize()
-	if s.Packets != 0 || s.Duration != 0 || s.AvgPps != 0 {
-		t.Fatalf("empty summary = %+v", s)
+	// Both writers summarize an empty trace as all zeros, and the IDT2
+	// footer carries that summary back.
+	var empty Trace
+	_, jstats := writeJSONL(t, &empty)
+	rd, err := NewReader(bytes.NewReader(encodeStream(t, &empty, DefaultChunkRecords)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]StreamStats{"jsonl": jstats, "idt2": rd.Stats()} {
+		if s != (StreamStats{}) || s.Duration() != 0 {
+			t.Fatalf("%s: empty summary = %+v", name, s)
+		}
 	}
 }
 
