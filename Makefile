@@ -1,14 +1,21 @@
 # Convenience targets for the IDS evaluation reproduction.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build test race bench benchmark ci eval sweep traces faultscenarios faultgolden smoke crashmatrix tracereport clean
+.PHONY: all build fmtcheck test race bench benchmark ci eval sweep traces faultscenarios faultgolden smoke crashmatrix tracereport clean
 
 all: build test race
 
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+
+# Fail when any tracked Go file (e2ebench included) is not gofmt-clean.
+fmtcheck:
+	@files=$$(git ls-files '*.go') || exit 1; \
+	bad=$$($(GOFMT) -l $$files); \
+	if [ -n "$$bad" ]; then echo "gofmt -l lists:"; echo "$$bad"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -17,7 +24,7 @@ race:
 	$(GO) test -race ./...
 
 # The full gate a change must pass before merging. Each step runs once:
-# - build and vet;
+# - build, vet, and fmtcheck (every tracked Go file is gofmt-clean);
 # - the whole suite under the race detector, uncached (-count=1). The
 #   parallel evaluation pipeline makes -race part of correctness. This
 #   one pass covers the fuzz seed corpora as regression tests, the
@@ -38,6 +45,7 @@ race:
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(MAKE) fmtcheck
 	$(GO) test -race -count=1 ./...
 	cd e2ebench && $(GO) vet ./... && $(GO) test -short ./...
 	$(MAKE) faultscenarios

@@ -447,8 +447,13 @@ func ingestMeta() serve.StreamMeta {
 // buildTrace renders a small labeled IDT2 trace entirely in-process —
 // the same recipe the serve tests use.
 func buildTrace(seed int64) ([]byte, error) {
+	var buf bytes.Buffer
+	sw, err := trace.NewWriter(&buf, "ecommerce-edge", seed)
+	if err != nil {
+		return nil, err
+	}
 	sim := simtime.New(seed)
-	rec := trace.NewRecorder(sim, "ecommerce-edge")
+	rec := trace.NewStreamRecorder(sim, sw)
 	seq := &packet.SeqCounter{}
 	eps := traffic.Endpoints{
 		External: []packet.Addr{packet.IPv4(203, 0, 1, 1), packet.IPv4(203, 0, 1, 2)},
@@ -471,9 +476,11 @@ func buildTrace(seed int64) ([]byte, error) {
 	sim.RunUntil(10 * time.Second)
 	gen.Stop()
 	sim.Run()
-	rec.SetIncidents(camp.Incidents())
-	var buf bytes.Buffer
-	if err := rec.Trace().WriteStream(&buf); err != nil {
+	if err := rec.Err(); err != nil {
+		return nil, err
+	}
+	sw.SetIncidents(camp.Incidents())
+	if err := sw.Close(); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -115,33 +115,75 @@ func matches(rep *ids.ReportedIncident, inc attack.Incident) bool {
 // traffic, then run background plus the standard campaign for attackFor,
 // then match monitor incidents against ground truth.
 func RunAccuracy(tb *Testbed, sensitivity float64, attackFor time.Duration, strength attack.Intensity) (*AccuracyResult, error) {
-	if err := validateTapMode(tb.Cfg.Tap); err != nil {
-		return nil, err
-	}
-	if err := tb.Train(); err != nil {
-		return nil, err
-	}
-	if err := tb.IDS.SetSensitivity(sensitivity); err != nil {
-		return nil, err
-	}
-	start := tb.Sim.Now()
-	camp := attack.NewCampaign(tb.AttackContext())
-	if err := camp.SpreadAcross(start+2*time.Second, attackFor-4*time.Second, attack.StandardScenarios(strength)); err != nil {
-		return nil, err
-	}
-	tb.Sim.RunUntil(start + attackFor)
-	tb.Drain()
-	if err := tb.Interrupted(); err != nil {
-		return nil, err
-	}
-	tb.IDS.Flush()
-	return scoreAccuracy(tb, sensitivity, camp)
+	return runCampaign(tb, sensitivity, attackFor, strength, nil)
 }
 
-// scoreAccuracy matches reports to truth and computes the Figure-3
-// ratios.
-func scoreAccuracy(tb *Testbed, sensitivity float64, camp *attack.Campaign) (*AccuracyResult, error) {
+// runCampaign is the live experiment RunAccuracy and RunFaultScenario
+// share: the standard campaign spread across attackFor over live
+// background, with |T| = background sessions + incidents. arm, when
+// non-nil, runs at the start of the attack phase, before the campaign
+// is scheduled.
+func runCampaign(tb *Testbed, sensitivity float64, attackFor time.Duration, strength attack.Intensity, arm func() error) (*AccuracyResult, error) {
+	var camp *attack.Campaign
+	err := runPhases(tb, sensitivity, func(start time.Duration) (time.Duration, error) {
+		if arm != nil {
+			if err := arm(); err != nil {
+				return 0, err
+			}
+		}
+		camp = attack.NewCampaign(tb.AttackContext())
+		return attackFor, camp.SpreadAcross(start+2*time.Second, attackFor-4*time.Second, attack.StandardScenarios(strength))
+	})
+	if err != nil {
+		return nil, err
+	}
 	truth := camp.Incidents()
+	res, err := scoreAccuracy(tb, sensitivity, truth, int(tb.Gen.SessionsStarted)+len(truth))
+	if err != nil {
+		return nil, err
+	}
+	res.IngestedBytes = tb.Gen.BytesEmitted
+	return res, nil
+}
+
+// runPhases is the one accuracy experiment every run shares, live, fault
+// or trace: train on clean background, set the sensitivity, let schedule
+// arm the measured workload at the start of the measured phase, run it
+// for the duration schedule returns (zero goes straight to the drain: a
+// replay has scheduled every packet it sends), drain, check for
+// interruption, and flush the pipeline so every report reaches the
+// monitor.
+func runPhases(tb *Testbed, sensitivity float64, schedule func(start time.Duration) (time.Duration, error)) error {
+	if err := validateTapMode(tb.Cfg.Tap); err != nil {
+		return err
+	}
+	if err := tb.Train(); err != nil {
+		return err
+	}
+	if err := tb.IDS.SetSensitivity(sensitivity); err != nil {
+		return err
+	}
+	start := tb.Sim.Now()
+	runFor, err := schedule(start)
+	if err != nil {
+		return err
+	}
+	if runFor > 0 {
+		tb.Sim.RunUntil(start + runFor)
+	}
+	tb.Drain()
+	if err := tb.Interrupted(); err != nil {
+		return err
+	}
+	tb.IDS.Flush()
+	return nil
+}
+
+// scoreAccuracy is the one Figure-3 scorer: it matches the monitor's
+// reports against truth and computes the ratios over transactions (|T|,
+// which the caller counts: live sessions or trace conversations, plus
+// incidents).
+func scoreAccuracy(tb *Testbed, sensitivity float64, truth []attack.Incident, transactions int) (*AccuracyResult, error) {
 	reports := tb.IDS.Monitor().Incidents
 
 	res := &AccuracyResult{
@@ -150,15 +192,14 @@ func scoreAccuracy(tb *Testbed, sensitivity float64, camp *attack.Campaign) (*Ac
 		ActualIncidents:   len(truth),
 		ReportedIncidents: len(reports),
 		ByTechnique:       make(map[string]bool),
+		Transactions:      transactions,
+		TruthIncidents:    truth,
+		compromisedTruth:  make(map[uint32]bool),
+		compromisedFound:  make(map[uint32]bool),
 	}
-	res.Transactions = int(tb.Gen.SessionsStarted) + len(truth)
-	res.TruthIncidents = truth
 	if res.Transactions == 0 {
 		return nil, fmt.Errorf("eval: empty run — no transactions")
 	}
-
-	res.compromisedTruth = make(map[uint32]bool)
-	res.compromisedFound = make(map[uint32]bool)
 
 	matchedReport := make(map[*ids.ReportedIncident]bool)
 	var delays []time.Duration
@@ -233,7 +274,6 @@ func scoreAccuracy(tb *Testbed, sensitivity float64, camp *attack.Campaign) (*Ac
 	res.SensorDrops = st.SensorDropped
 	res.SensorFailures = st.SensorFailures
 	res.StorageBytes = st.StorageBytes
-	res.IngestedBytes = tb.Gen.BytesEmitted
 	res.TapDrops = tb.MirrorDrops()
 	res.IngestedPkts = st.Ingested
 	res.ProcessedPkts = st.Processed

@@ -2,12 +2,16 @@ package eval
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/products"
+	"repro/internal/simtime"
 	"repro/internal/traffic"
 )
 
@@ -234,6 +238,24 @@ func TestSensitivitySweepProducesTradeoff(t *testing.T) {
 func TestSweepValidation(t *testing.T) {
 	if _, err := SensitivitySweep(context.Background(), products.NetRecorder(), SweepOptions{Points: 1}); err == nil {
 		t.Fatal("single-point sweep accepted")
+	}
+}
+
+func TestOnePointSweepRejectedUpFront(t *testing.T) {
+	// A one-point sweep has no step i/(Points-1): both point functions
+	// must refuse it before building a testbed, and the injector must
+	// refuse the NaN severity such a step would compute.
+	ctx := context.Background()
+	if _, err := SweepPointAt(ctx, products.NetRecorder(), SweepOptions{Points: 1}, 0); err == nil ||
+		!strings.Contains(err.Error(), "at least 2 points") {
+		t.Fatalf("one-point sweep point: got %v, want the point-count error", err)
+	}
+	if _, err := FaultPointAt(ctx, products.NetRecorder(), &faults.Scenario{Name: "none"}, FaultSweepOptions{Points: 1}, 0); err == nil ||
+		!strings.Contains(err.Error(), "at least 2 points") {
+		t.Fatalf("one-point fault point: got %v, want the point-count error", err)
+	}
+	if _, err := faults.NewInjector(simtime.New(1), &faults.Scenario{Name: "none"}, math.NaN(), faults.Targets{}); err == nil {
+		t.Fatal("NaN severity accepted")
 	}
 }
 
@@ -527,19 +549,15 @@ func TestVendorUpdateImprovesExtendedCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tb.Train(); err != nil {
+		var camp *attack.Campaign
+		if err := runPhases(tb, 0.6, func(start time.Duration) (time.Duration, error) {
+			camp = attack.NewCampaign(tb.AttackContext())
+			return 30 * time.Second, camp.SpreadAcross(start+2*time.Second, 24*time.Second, attack.ExtendedScenarios(0.5))
+		}); err != nil {
 			t.Fatal(err)
 		}
-		tb.IDS.SetSensitivity(0.6)
-		start := tb.Sim.Now()
-		camp := attack.NewCampaign(tb.AttackContext())
-		if err := camp.SpreadAcross(start+2*time.Second, 24*time.Second, attack.ExtendedScenarios(0.5)); err != nil {
-			t.Fatal(err)
-		}
-		tb.Sim.RunUntil(start + 30*time.Second)
-		tb.Drain()
-		tb.IDS.Flush()
-		res, err := scoreAccuracy(tb, 0.6, camp)
+		truth := camp.Incidents()
+		res, err := scoreAccuracy(tb, 0.6, truth, int(tb.Gen.SessionsStarted)+len(truth))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,56 +52,34 @@ type FaultRunResult struct {
 }
 
 // RunFaultScenario performs one accuracy experiment with the scenario's
-// faults injected, scaled by severity in [0,1]. It mirrors RunAccuracy
-// step for step; the injector arms at the start of the attack phase, so
-// event offsets in the scenario are relative to the end of training.
+// faults injected, scaled by severity in [0,1]. It is RunAccuracy with
+// the injector (and, when the scenario asks for it, the self-healing
+// layer's health loop) armed at the start of the attack phase, so event
+// offsets in the scenario are relative to the end of training.
 func RunFaultScenario(tb *Testbed, sc *faults.Scenario, sensitivity float64, attackFor time.Duration, strength attack.Intensity, severity float64) (*FaultRunResult, error) {
-	if err := validateTapMode(tb.Cfg.Tap); err != nil {
-		return nil, err
-	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	resilient := sc != nil && sc.Resilience && !sc.Empty()
-	if resilient {
+	if sc != nil && sc.Resilience && !sc.Empty() {
 		tb.IDS.EnableResilience(ids.Resilience{})
 	}
-	if err := tb.Train(); err != nil {
-		return nil, err
-	}
-	if err := tb.IDS.SetSensitivity(sensitivity); err != nil {
-		return nil, err
-	}
-	start := tb.Sim.Now()
-
-	inj, err := faults.NewInjector(tb.Sim, sc, severity, faults.Targets{
-		Links:  tb.faultLinks(),
-		IDS:    tb.IDS,
-		Flight: tb.Cfg.Obs.Flight(),
+	var inj *faults.Injector
+	acc, err := runCampaign(tb, sensitivity, attackFor, strength, func() error {
+		var err error
+		inj, err = faults.NewInjector(tb.Sim, sc, severity, faults.Targets{
+			Links:  tb.faultLinks(),
+			IDS:    tb.IDS,
+			Flight: tb.Cfg.Obs.Flight(),
+		})
+		if err != nil {
+			return err
+		}
+		if err := inj.Arm(); err != nil {
+			return err
+		}
+		tb.IDS.StartHealthLoop() // a no-op without the resilience layer
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if err := inj.Arm(); err != nil {
-		return nil, err
-	}
-	if resilient {
-		tb.IDS.StartHealthLoop()
-	}
-
-	camp := attack.NewCampaign(tb.AttackContext())
-	if err := camp.SpreadAcross(start+2*time.Second, attackFor-4*time.Second, attack.StandardScenarios(strength)); err != nil {
-		return nil, err
-	}
-	tb.Sim.RunUntil(start + attackFor)
-	tb.IDS.StopHealthLoop()
-	tb.Drain()
-	if err := tb.Interrupted(); err != nil {
-		return nil, err
-	}
-	tb.IDS.Flush()
-
-	acc, err := scoreAccuracy(tb, sensitivity, camp)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +132,9 @@ type FaultSweepOptions struct {
 	Obs *obs.Registry
 }
 
-func (o *FaultSweepOptions) applyDefaults() {
+// applyDefaults fills unset options and rejects a sweep of fewer than
+// two points, whose severity step i/(Points-1) would be undefined.
+func (o *FaultSweepOptions) applyDefaults() error {
 	if o.Seed == 0 {
 		o.Seed = 7
 	}
@@ -170,6 +150,10 @@ func (o *FaultSweepOptions) applyDefaults() {
 	if o.Strength == 0 {
 		o.Strength = 1
 	}
+	if o.Points < 2 {
+		return fmt.Errorf("eval: fault sweep needs at least 2 points, got %d", o.Points)
+	}
+	return nil
 }
 
 // QuickScale shrinks the sweep's runs to smoke-test scale. Every quick
@@ -202,9 +186,8 @@ type FaultSweepResult struct {
 // error so callers can report progress. Any other failure returns no
 // result.
 func FaultSweep(ctx context.Context, spec products.Spec, sc *faults.Scenario, opts FaultSweepOptions) (*FaultSweepResult, error) {
-	opts.applyDefaults()
-	if opts.Points < 2 {
-		return nil, fmt.Errorf("eval: fault sweep needs at least 2 points, got %d", opts.Points)
+	if err := opts.applyDefaults(); err != nil {
+		return nil, err
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -233,7 +216,9 @@ func FaultSweep(ctx context.Context, spec products.Spec, sc *faults.Scenario, op
 // bit-identical to the same index of a full FaultSweep with the same
 // options.
 func FaultPointAt(ctx context.Context, spec products.Spec, sc *faults.Scenario, opts FaultSweepOptions, i int) (*FaultRunResult, error) {
-	opts.applyDefaults()
+	if err := opts.applyDefaults(); err != nil {
+		return nil, err
+	}
 	if i < 0 || i >= opts.Points {
 		return nil, fmt.Errorf("eval: fault point %d out of range [0,%d)", i, opts.Points)
 	}

@@ -55,7 +55,9 @@ type SweepOptions struct {
 	Obs *obs.Registry
 }
 
-func (o *SweepOptions) applyDefaults() {
+// applyDefaults fills unset options and rejects a sweep of fewer than
+// two points, whose sensitivity step i/(Points-1) would be undefined.
+func (o *SweepOptions) applyDefaults() error {
 	if o.Points == 0 {
 		o.Points = 6
 	}
@@ -74,6 +76,10 @@ func (o *SweepOptions) applyDefaults() {
 	if o.Seed == 0 {
 		o.Seed = 7
 	}
+	if o.Points < 2 {
+		return fmt.Errorf("eval: sweep needs at least 2 points, got %d", o.Points)
+	}
+	return nil
 }
 
 // QuickScale shrinks the sweep's runs to smoke-test scale. Every quick
@@ -101,9 +107,8 @@ func (o *SweepOptions) QuickScale() {
 // the remaining points, surfaces the lowest-indexed point's error, and
 // returns no result.
 func SensitivitySweep(ctx context.Context, spec products.Spec, opts SweepOptions) (*SweepResult, error) {
-	opts.applyDefaults()
-	if opts.Points < 2 {
-		return nil, fmt.Errorf("eval: sweep needs at least 2 points, got %d", opts.Points)
+	if err := opts.applyDefaults(); err != nil {
+		return nil, err
 	}
 	points := make([]SweepPoint, opts.Points)
 	err := par.ForEach(ctx, opts.Points, opts.Workers, func(ctx context.Context, i int) error {
@@ -135,7 +140,9 @@ func SensitivitySweep(ctx context.Context, spec products.Spec, opts SweepOptions
 // is bit-identical to the same index of a full SensitivitySweep with
 // the same options.
 func SweepPointAt(ctx context.Context, spec products.Spec, opts SweepOptions, i int) (SweepPoint, error) {
-	opts.applyDefaults()
+	if err := opts.applyDefaults(); err != nil {
+		return SweepPoint{}, err
+	}
 	if i < 0 || i >= opts.Points {
 		return SweepPoint{}, fmt.Errorf("eval: sweep point %d out of range [0,%d)", i, opts.Points)
 	}

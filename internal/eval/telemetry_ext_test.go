@@ -9,7 +9,7 @@ package eval_test
 //     observes; it never perturbs.
 //  2. Replay output: the streaming trace path (whose stage timings now
 //     ride obs spans) renders the same stdout report, byte for byte, as
-//     the in-memory path.
+//     the flat reference replay.
 
 import (
 	"bytes"
@@ -17,16 +17,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/obs"
-	"repro/internal/packet"
 	"repro/internal/products"
 	"repro/internal/report"
-	"repro/internal/simtime"
 	"repro/internal/trace"
-	"repro/internal/traffic"
 )
 
 // renderField runs a quick evaluation of the given products and renders
@@ -114,43 +110,6 @@ func TestTelemetryDeterminism(t *testing.T) {
 	}
 }
 
-// buildStreamTrace generates a small labeled trace and returns it both
-// in-memory and IDT2-encoded.
-func buildStreamTrace(t *testing.T, seed int64) (*trace.Trace, []byte) {
-	t.Helper()
-	sim := simtime.New(seed)
-	rec := trace.NewRecorder(sim, "ecommerce-edge")
-	seq := &packet.SeqCounter{}
-	eps := traffic.Endpoints{
-		External: []packet.Addr{packet.IPv4(203, 0, 1, 1), packet.IPv4(203, 0, 1, 2)},
-		Cluster: []packet.Addr{
-			packet.IPv4(10, 1, 1, 1), packet.IPv4(10, 1, 1, 2), packet.IPv4(10, 1, 1, 3),
-		},
-	}
-	gen, err := traffic.NewGenerator(sim, traffic.EcommerceEdge(), eps, seq, rec.Emit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.Start(40)
-	ctx := &attack.Context{Sim: sim, Rng: sim.Stream("attack"), Seq: seq, Eps: eps, Emit: rec.Emit, Gen: gen}
-	camp := attack.NewCampaign(ctx)
-	if err := camp.SpreadAcross(2*time.Second, 10*time.Second, []attack.Scenario{
-		attack.Exploit{Count: 3}, attack.BruteForce{Attempts: 20},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sim.RunUntil(15 * time.Second)
-	gen.Stop()
-	sim.Run()
-	rec.SetIncidents(camp.Incidents())
-	tr := rec.Trace()
-	var enc bytes.Buffer
-	if err := tr.WriteStream(&enc); err != nil {
-		t.Fatal(err)
-	}
-	return tr, enc.Bytes()
-}
-
 // renderAccuracy renders the replay CLI's stdout report surface.
 func renderAccuracy(t *testing.T, res *eval.AccuracyResult) string {
 	t.Helper()
@@ -166,12 +125,12 @@ func renderAccuracy(t *testing.T, res *eval.AccuracyResult) string {
 
 func TestReplayStdoutByteIdenticalAcrossPaths(t *testing.T) {
 	// The replay CLI's report must render byte-identically from the
-	// in-memory path (no telemetry) and the streaming path (obs spans,
-	// decoder counters, full component instrumentation).
-	tr, encoded := buildStreamTrace(t, 23)
+	// flat reference replay (no telemetry) and the streaming path (obs
+	// spans, decoder counters, full component instrumentation).
+	encoded := eval.BuildTrace(t, 23)
 	spec := products.TrueSecure()
 
-	want, err := eval.RunTraceAccuracy(context.Background(), spec, tr, 0.6, 6*time.Second, 11)
+	want, err := eval.RunFlatTraceAccuracy(context.Background(), spec, encoded, 0.6, 6*time.Second, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +145,7 @@ func TestReplayStdoutByteIdenticalAcrossPaths(t *testing.T) {
 	}
 
 	if w, g := renderAccuracy(t, want), renderAccuracy(t, got); w != g {
-		t.Fatalf("replay stdout differs between paths:\n--- in-memory ---\n%s\n--- streaming ---\n%s", w, g)
+		t.Fatalf("replay stdout differs between paths:\n--- flat ---\n%s\n--- streaming ---\n%s", w, g)
 	}
 	// And the instrumented run must actually have produced telemetry.
 	if chunks, _ := reg.Snapshot().Counter("trace.decoder.chunks"); chunks == 0 {

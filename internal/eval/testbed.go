@@ -308,9 +308,11 @@ func (tb *Testbed) Train() error {
 	return tb.Interrupted()
 }
 
-// Drain stops all self-perpetuating sources (generator, real-time host
-// tickers) and runs the simulation until the event queue empties.
+// Drain stops all self-perpetuating sources (the self-healing layer's
+// health loop, generator, real-time host tickers) and runs the
+// simulation until the event queue empties.
 func (tb *Testbed) Drain() {
+	tb.IDS.StopHealthLoop()
 	tb.Gen.Stop()
 	for _, rh := range tb.rtsHosts {
 		rh.Stop()

@@ -3,11 +3,15 @@ package eval
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/attack"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/packet"
 	"repro/internal/products"
@@ -16,11 +20,17 @@ import (
 	"repro/internal/traffic"
 )
 
-// buildTrace generates a small labeled trace for replay tests.
-func buildTrace(t *testing.T, seed int64) *trace.Trace {
+// buildTrace generates a small labeled trace for replay tests, captured
+// as IDT2 through the streaming recorder.
+func buildTrace(t testing.TB, seed int64) []byte {
 	t.Helper()
+	var buf bytes.Buffer
+	sw, err := trace.NewWriter(&buf, "ecommerce-edge", seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sim := simtime.New(seed)
-	rec := trace.NewRecorder(sim, "ecommerce-edge")
+	rec := trace.NewStreamRecorder(sim, sw)
 	seq := &packet.SeqCounter{}
 	eps := traffic.Endpoints{
 		External: []packet.Addr{packet.IPv4(203, 0, 1, 1), packet.IPv4(203, 0, 1, 2)},
@@ -43,13 +53,95 @@ func buildTrace(t *testing.T, seed int64) *trace.Trace {
 	sim.RunUntil(15 * time.Second)
 	gen.Stop()
 	sim.Run()
-	rec.SetIncidents(camp.Incidents())
-	return rec.Trace()
+	if err := rec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	sw.SetIncidents(camp.Incidents())
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// The trace builder and the flat reference, lent to the external tests.
+var (
+	BuildTrace           = buildTrace
+	RunFlatTraceAccuracy = runFlatTraceAccuracy
+)
+
+// runFlatTraceAccuracy is the reference RunTraceAccuracyStream is
+// checked against. It materializes the whole trace, sizes the testbed
+// from the records themselves rather than the footer, and schedules
+// every record up front (a flat replay) instead of chunk by chunk, then
+// runs the same phase driver and scorer.
+func runFlatTraceAccuracy(ctx context.Context, spec products.Spec, data []byte, sensitivity float64, trainFor time.Duration, seed int64) (*AccuracyResult, error) {
+	rd, err := trace.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	var recs []trace.Record
+	for {
+		c, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, c.Records...) // never released: stays valid
+	}
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("eval: empty trace")
+	}
+	maxCluster, maxExternal := 0, 0
+	convs := make(map[packet.FlowKey]bool)
+	for _, rec := range recs {
+		for _, a := range [2]packet.Addr{rec.Pk.Src, rec.Pk.Dst} {
+			c, e := netsim.PlanSizing(a)
+			maxCluster = max(maxCluster, c)
+			maxExternal = max(maxExternal, e)
+		}
+		if !rec.Pk.Truth.Malicious {
+			convs[rec.Pk.Key().Canonical()] = true
+		}
+	}
+	tb, err := NewTestbed(spec, TestbedConfig{
+		Seed: seed, TrainFor: trainFor,
+		ClusterHosts: maxCluster, ExternalHosts: maxExternal,
+	})
+	if err != nil {
+		return nil, err
+	}
+	tb.Bind(ctx)
+	var replayStart time.Duration
+	err = runPhases(tb, sensitivity, func(start time.Duration) (time.Duration, error) {
+		replayStart = start
+		for _, rec := range recs {
+			if _, err := tb.Sim.ScheduleAt(start+rec.At-recs[0].At, func() { tb.inject(rec.Pk) }); err != nil {
+				return 0, err
+			}
+		}
+		return 0, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	truth := shiftIncidents(rd.Incidents(), recs[0].At, replayStart)
+	return scoreAccuracy(tb, sensitivity, truth, len(convs)+len(truth))
+}
+
+// runStream replays data through RunTraceAccuracyStream.
+func runStream(t *testing.T, spec products.Spec, data []byte, sensitivity float64, trainFor time.Duration, seed int64, reg *obs.Registry) (*AccuracyResult, error) {
+	t.Helper()
+	rd, err := trace.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return RunTraceAccuracyStream(context.Background(), spec, rd, sensitivity, trainFor, seed, reg)
 }
 
 func TestRunTraceAccuracy(t *testing.T) {
-	tr := buildTrace(t, 23)
-	res, err := RunTraceAccuracy(context.Background(), products.TrueSecure(), tr, 0.6, 6*time.Second, 11)
+	res, err := runStream(t, products.TrueSecure(), buildTrace(t, 23), 0.6, 6*time.Second, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +161,16 @@ func TestRunTraceAccuracy(t *testing.T) {
 	if !res.ByTechnique[attack.TechExploit] {
 		t.Fatal("exploit missed on replay")
 	}
+	// The background generator only trains; a replay ingests the trace.
+	if res.IngestedBytes != 0 {
+		t.Fatalf("trace result ingested %d generator bytes, want 0", res.IngestedBytes)
+	}
 }
 
 func TestRunTraceAccuracyDeterministic(t *testing.T) {
-	tr := buildTrace(t, 23)
+	data := buildTrace(t, 23)
 	run := func() (int, int) {
-		res, err := RunTraceAccuracy(context.Background(), products.NetRecorder(), tr, 0.6, 4*time.Second, 11)
+		res, err := runStream(t, products.NetRecorder(), data, 0.6, 4*time.Second, 11, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,8 +184,23 @@ func TestRunTraceAccuracyDeterministic(t *testing.T) {
 }
 
 func TestRunTraceAccuracyRejectsEmpty(t *testing.T) {
-	if _, err := RunTraceAccuracy(context.Background(), products.NetRecorder(), &trace.Trace{}, 0.5, time.Second, 1); err == nil {
-		t.Fatal("empty trace accepted")
+	var buf bytes.Buffer
+	sw, err := trace.NewWriter(&buf, "empty", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The empty stream must fail before any testbed is built, so no
+	// setup span is recorded.
+	reg := obs.NewRegistry()
+	if _, err := runStream(t, products.NetRecorder(), buf.Bytes(), 0.5, time.Second, 1, reg); err == nil ||
+		!strings.Contains(err.Error(), "empty trace") {
+		t.Fatalf("empty trace: got %v, want the empty-trace error", err)
+	}
+	if _, ok := reg.SpanDur("replay.setup"); ok {
+		t.Fatal("a testbed was set up for an empty trace")
 	}
 }
 
@@ -97,8 +208,7 @@ func TestTraceRoundTripThroughReplayMatchesLive(t *testing.T) {
 	// A trace recorded and replayed must produce detection outcomes for
 	// the same techniques as the live generation path (same engines, same
 	// content).
-	tr := buildTrace(t, 31)
-	res, err := RunTraceAccuracy(context.Background(), products.TrueSecure(), tr, 0.7, 6*time.Second, 13)
+	res, err := runStream(t, products.TrueSecure(), buildTrace(t, 31), 0.7, 6*time.Second, 13, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,25 +220,17 @@ func TestTraceRoundTripThroughReplayMatchesLive(t *testing.T) {
 }
 
 func TestStreamAccuracyMatchesInMemory(t *testing.T) {
-	// The streaming chunked replay path must reproduce the in-memory
-	// path's results exactly — rendered reports and all — for the same
-	// trace, product, and seeds.
-	tr := buildTrace(t, 23)
-	var enc bytes.Buffer
-	if err := tr.WriteStream(&enc); err != nil {
-		t.Fatal(err)
-	}
+	// The streaming chunked replay path must reproduce the flat
+	// reference's results exactly — rendered reports and all — for the
+	// same trace, product, and seeds.
+	data := buildTrace(t, 23)
 	for _, spec := range []products.Spec{products.TrueSecure(), products.NetRecorder()} {
-		want, err := RunTraceAccuracy(context.Background(), spec, tr, 0.6, 6*time.Second, 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd, err := trace.NewReader(bytes.NewReader(enc.Bytes()))
+		want, err := runFlatTraceAccuracy(context.Background(), spec, data, 0.6, 6*time.Second, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
-		got, err := RunTraceAccuracyStream(context.Background(), spec, rd, 0.6, 6*time.Second, 11, reg)
+		got, err := runStream(t, spec, data, 0.6, 6*time.Second, 11, reg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,21 +246,17 @@ func TestStreamAccuracyMatchesInMemory(t *testing.T) {
 		// and intent profile must match, so any downstream report renders
 		// byte-identically from either path.
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: streaming result differs from in-memory:\nin-memory: %+v\nstreaming: %+v",
+			t.Fatalf("%s: streaming result differs from the flat replay:\nflat: %+v\nstreaming: %+v",
 				spec.Name, want, got)
 		}
 	}
 }
 
 func TestStreamAccuracyRequiresIndex(t *testing.T) {
-	tr := buildTrace(t, 23)
-	var enc bytes.Buffer
-	if err := tr.WriteStream(&enc); err != nil {
-		t.Fatal(err)
-	}
+	data := buildTrace(t, 23)
 	// The streaming runner sizes the testbed and takes ground truth from
 	// the footer index, so a stream without one must not open at all.
-	if _, err := trace.NewReader(bytes.NewReader(enc.Bytes()[:enc.Len()/2])); err == nil {
+	if _, err := trace.NewReader(bytes.NewReader(data[:len(data)/2])); err == nil {
 		t.Fatal("footerless trace opened")
 	}
 }

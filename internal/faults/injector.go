@@ -62,7 +62,7 @@ func NewInjector(sim *simtime.Sim, sc *Scenario, severity float64, tg Targets) (
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	if severity < 0 || severity > 1 {
+	if math.IsNaN(severity) || severity < 0 || severity > 1 {
 		return nil, fmt.Errorf("faults: severity %v outside [0,1]", severity)
 	}
 	inj := &Injector{sim: sim, scenario: sc, severity: severity, targets: tg}

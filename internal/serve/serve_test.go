@@ -40,8 +40,13 @@ func buildTraceBytes(t testing.TB, seed int64) []byte {
 	if b, ok := traceCache.Load(seed); ok {
 		return b.([]byte)
 	}
+	var buf bytes.Buffer
+	sw, err := trace.NewWriter(&buf, "ecommerce-edge", seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sim := simtime.New(seed)
-	rec := trace.NewRecorder(sim, "ecommerce-edge")
+	rec := trace.NewStreamRecorder(sim, sw)
 	seq := &packet.SeqCounter{}
 	eps := traffic.Endpoints{
 		External: []packet.Addr{packet.IPv4(203, 0, 1, 1), packet.IPv4(203, 0, 1, 2)},
@@ -64,9 +69,11 @@ func buildTraceBytes(t testing.TB, seed int64) []byte {
 	sim.RunUntil(15 * time.Second)
 	gen.Stop()
 	sim.Run()
-	rec.SetIncidents(camp.Incidents())
-	var buf bytes.Buffer
-	if err := rec.Trace().WriteStream(&buf); err != nil {
+	if err := rec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	sw.SetIncidents(camp.Incidents())
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	traceCache.Store(seed, buf.Bytes())

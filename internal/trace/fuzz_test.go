@@ -179,7 +179,7 @@ func FuzzServeFrameDecode(f *testing.F) {
 
 // checkReencode round-trips a successfully decoded trace through the v2
 // encoder and requires the result to decode to the same shape.
-func checkReencode(t *testing.T, tr *Trace) {
+func checkReencode(t *testing.T, tr *memTrace) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := tr.WriteStream(&buf); err != nil {
@@ -212,8 +212,8 @@ func checkReencode(t *testing.T, tr *Trace) {
 // fuzzSeedTrace builds a small hand-rolled trace exercising the format's
 // branches: payloads and empty payloads, truth labels with shared and
 // distinct attack IDs, TCP and UDP, equal timestamps.
-func fuzzSeedTrace() *Trace {
-	tr := &Trace{Profile: "fuzz-seed", Seed: 3}
+func fuzzSeedTrace() *memTrace {
+	tr := &memTrace{Profile: "fuzz-seed", Seed: 3}
 	at := []time.Duration{0, time.Millisecond, time.Millisecond, 5 * time.Millisecond,
 		time.Second, time.Second + 1, 2 * time.Second, 3 * time.Second}
 	for i, t := range at {

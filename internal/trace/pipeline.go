@@ -1,5 +1,5 @@
 // Streaming replay: a chunk source abstraction, the pipelined decoder,
-// and a Reader-driven Replay variant with O(chunk) scheduled state.
+// and the Reader-driven replay with O(chunk) scheduled state.
 package trace
 
 import (
@@ -66,29 +66,26 @@ func (rs *ReplayStream) Chunks() int { return rs.chunks }
 // drained, even for pathologically short chunks.
 const releaseLag = 2
 
-// ReplayReader schedules a streamed trace onto sim with the same
-// semantics as Replay — first record at start, gaps scaled by
-// 1/speedup, delivery through emit — but with O(chunk) memory: only the
-// current chunk's records are scheduled, and an advance event at each
-// chunk's last record time fetches and schedules the next chunk. With a
-// PipelinedReader source the next chunk is already decoded when the
-// advance event fires.
+// ReplayReader schedules a streamed trace onto sim at its original
+// pacing: the first record fires at start, every later one at the same
+// offset from it as in the trace, and each packet is delivered through
+// emit. Memory is O(chunk): only the current chunk's records are
+// scheduled, and an advance event at each chunk's last record time
+// fetches and schedules the next chunk. With a PipelinedReader source
+// the next chunk is already decoded when the advance event fires.
 //
-// Scheduling order matches the in-memory path: a chunk's records are
-// scheduled in trace order, and the advance event for chunk N+1 is
-// scheduled after chunk N's records, so at a shared timestamp the
-// packet event fires first. Replayed chunks are released back to the
-// reader releaseLag chunks later.
+// A chunk's records are scheduled in trace order, and the advance event
+// for chunk N+1 is scheduled after chunk N's records, so at a shared
+// timestamp the packet event fires first and the emit order is the
+// trace order. Replayed chunks are released back to the reader
+// releaseLag chunks later.
 //
 // The returned handle carries errors from advance events that fire
 // while the simulation runs; callers must check handle.Err() after the
 // sim drains.
-func ReplayReader(sim *simtime.Sim, src ChunkSource, start time.Duration, speedup float64, emit func(p *packet.Packet)) (*ReplayStream, error) {
+func ReplayReader(sim *simtime.Sim, src ChunkSource, start time.Duration, emit func(p *packet.Packet)) (*ReplayStream, error) {
 	if emit == nil {
 		return nil, errors.New("trace: nil emit")
-	}
-	if speedup <= 0 {
-		speedup = 1
 	}
 	rs := &ReplayStream{}
 	first, err := src.Next()
@@ -98,14 +95,11 @@ func ReplayReader(sim *simtime.Sim, src ChunkSource, start time.Duration, speedu
 	if err != nil {
 		return nil, err
 	}
-	base := first.FirstAt()
-	scale := func(at time.Duration) time.Duration {
-		return start + time.Duration(float64(at-base)/speedup)
-	}
+	offset := start - first.FirstAt()
 	schedule := func(c *Chunk) error {
 		for i := range c.Records {
 			rec := c.Records[i]
-			if _, err := sim.ScheduleAt(scale(rec.At), func() { emit(rec.Pk) }); err != nil {
+			if _, err := sim.ScheduleAt(offset+rec.At, func() { emit(rec.Pk) }); err != nil {
 				return err
 			}
 		}
@@ -141,7 +135,7 @@ func ReplayReader(sim *simtime.Sim, src ChunkSource, start time.Duration, speedu
 			return
 		}
 		rs.chunks++
-		if _, err := sim.ScheduleAt(scale(c.LastAt()), advance); err != nil {
+		if _, err := sim.ScheduleAt(offset+c.LastAt(), advance); err != nil {
 			rs.err = err
 			return
 		}
@@ -152,7 +146,7 @@ func ReplayReader(sim *simtime.Sim, src ChunkSource, start time.Duration, speedu
 		return nil, err
 	}
 	rs.chunks = 1
-	if _, err := sim.ScheduleAt(scale(first.LastAt()), advance); err != nil {
+	if _, err := sim.ScheduleAt(offset+first.LastAt(), advance); err != nil {
 		return nil, err
 	}
 	retire(first)

@@ -411,21 +411,6 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// WriteStream serializes the whole trace in the IDT2 format.
-func (t *Trace) WriteStream(w io.Writer) error {
-	sw, err := NewWriter(w, t.Profile, t.Seed)
-	if err != nil {
-		return err
-	}
-	for _, r := range t.Records {
-		if err := sw.Append(r.At, r.Pk); err != nil {
-			return err
-		}
-	}
-	sw.SetIncidents(t.Incidents)
-	return sw.Close()
-}
-
 // ---- Reader ----
 
 // Chunk is one decoded group of records. Records[i].Pk points into a
@@ -1024,7 +1009,7 @@ type Appender interface {
 
 // StreamRecorder captures packets straight into a streaming writer, so
 // recording memory is O(chunk) instead of O(capture). Plug Emit into a
-// generator or netsim tap like Recorder's.
+// generator or a netsim tap.
 type StreamRecorder struct {
 	sim *simtime.Sim
 	w   Appender

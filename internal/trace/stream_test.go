@@ -19,7 +19,7 @@ import (
 
 // traceEqual asserts two traces carry identical records, incidents, and
 // metadata.
-func traceEqual(t *testing.T, want, got *Trace) {
+func traceEqual(t *testing.T, want, got *memTrace) {
 	t.Helper()
 	if got.Profile != want.Profile || got.Seed != want.Seed {
 		t.Fatalf("meta mismatch: %q/%d vs %q/%d", got.Profile, got.Seed, want.Profile, want.Seed)
@@ -55,7 +55,7 @@ func traceEqual(t *testing.T, want, got *Trace) {
 	}
 }
 
-func encodeStream(t testing.TB, tr *Trace, chunkRecords int) []byte {
+func encodeStream(t testing.TB, tr *memTrace, chunkRecords int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw, err := NewWriter(&buf, tr.Profile, tr.Seed)
@@ -77,13 +77,13 @@ func encodeStream(t testing.TB, tr *Trace, chunkRecords int) []byte {
 
 // readTrace materializes an IDT2 stream through NewReader and Next, the
 // production read path. Chunks are never released, so the records stay
-// valid for the life of the returned Trace.
-func readTrace(data []byte) (*Trace, error) {
+// valid for the life of the returned memTrace.
+func readTrace(data []byte) (*memTrace, error) {
 	rd, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
-	tr := &Trace{Profile: rd.Profile(), Seed: rd.Seed(), Incidents: rd.Incidents()}
+	tr := &memTrace{Profile: rd.Profile(), Seed: rd.Seed(), Incidents: rd.Incidents()}
 	for {
 		c, err := rd.Next()
 		if err == io.EOF {
@@ -172,7 +172,7 @@ func TestStreamReaderChunksAndStats(t *testing.T) {
 	if rd.ChunksRead() != wantChunks {
 		t.Fatalf("ChunksRead %d, want %d", rd.ChunksRead(), wantChunks)
 	}
-	traceEqual(t, tr, &Trace{
+	traceEqual(t, tr, &memTrace{
 		Records: got, Incidents: rd.Incidents(),
 		Profile: rd.Profile(), Seed: rd.Seed(),
 	})
@@ -240,38 +240,35 @@ func observeReplay(t *testing.T, schedule func(sim *simtime.Sim, emit func(p *pa
 func TestReplayReaderMatchesInMemoryReplay(t *testing.T) {
 	tr := sampleTrace(t)
 	data := encodeStream(t, tr, 50)
-	for _, speedup := range []float64{1, 3} {
-		speedup := speedup
-		want := observeReplay(t, func(sim *simtime.Sim, emit func(p *packet.Packet)) {
-			if err := Replay(sim, tr, time.Second, speedup, emit); err != nil {
-				t.Fatal(err)
-			}
-		})
-		var rs *ReplayStream
-		got := observeReplay(t, func(sim *simtime.Sim, emit func(p *packet.Packet)) {
-			rd, err := NewReader(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rs, err = ReplayReader(sim, rd, time.Second, speedup, emit)
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-		if err := rs.Err(); err != nil {
+	want := observeReplay(t, func(sim *simtime.Sim, emit func(p *packet.Packet)) {
+		if err := flatReplay(sim, tr, time.Second, emit); err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("speedup %v: replayed %d packets, want %d", speedup, len(got), len(want))
+	})
+	var rs *ReplayStream
+	got := observeReplay(t, func(sim *simtime.Sim, emit func(p *packet.Packet)) {
+		rd, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("speedup %v: emit %d differs: %+v vs %+v", speedup, i, got[i], want[i])
-			}
+		rs, err = ReplayReader(sim, rd, time.Second, emit)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rs.Chunks() == 0 {
-			t.Fatal("no chunks counted")
+	})
+	if err := rs.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d packets, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("emit %d differs: %+v vs %+v", i, got[i], want[i])
 		}
+	}
+	if rs.Chunks() == 0 {
+		t.Fatal("no chunks counted")
 	}
 }
 
@@ -283,7 +280,7 @@ func TestPipelinedReaderMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReplayReader(sim, rd, 0, 1, emit); err != nil {
+		if _, err := ReplayReader(sim, rd, 0, emit); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -294,7 +291,7 @@ func TestPipelinedReaderMatchesDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		pr = NewPipelinedReader(rd, 2)
-		if _, err := ReplayReader(sim, pr, 0, 1, emit); err != nil {
+		if _, err := ReplayReader(sim, pr, 0, emit); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -310,9 +307,9 @@ func TestPipelinedReaderMatchesDirect(t *testing.T) {
 }
 
 func TestStreamRecorderMatchesRecorder(t *testing.T) {
-	// The same deterministic generation run captured through the
-	// in-memory Recorder and the streaming recorder must produce
-	// identical traces: streaming capture loses nothing.
+	// The same deterministic generation run captured into the in-memory
+	// reference and through the IDT2 writer must produce identical
+	// traces: streaming capture loses nothing.
 	want := sampleTrace(t)
 	var buf bytes.Buffer
 	sw, err := NewWriter(&buf, want.Profile, want.Seed)
@@ -435,7 +432,7 @@ func TestEmptyStream(t *testing.T) {
 	// Streaming replay of an empty source is a no-op.
 	sim := simtime.New(1)
 	rd2, _ := NewReader(bytes.NewReader(buf.Bytes()))
-	rs, err := ReplayReader(sim, rd2, 0, 1, func(p *packet.Packet) { t.Fatal("emit from empty trace") })
+	rs, err := ReplayReader(sim, rd2, 0, func(p *packet.Packet) { t.Fatal("emit from empty trace") })
 	if err != nil || rs.Err() != nil {
 		t.Fatalf("empty replay: %v / %v", err, rs.Err())
 	}
@@ -500,7 +497,7 @@ func TestJSONLBinaryStreamEquality(t *testing.T) {
 func TestFooterPlanSizingSkipsOffPlanAddresses(t *testing.T) {
 	// 10.1.0.5 has a zero third octet, so it lies outside the address
 	// plan and sizes nothing; 10.1.1.2 is cluster host 1.
-	tr := &Trace{Profile: "plan", Seed: 1}
+	tr := &memTrace{Profile: "plan", Seed: 1}
 	for i, a := range []packet.Addr{packet.IPv4(10, 1, 0, 5), packet.IPv4(10, 1, 1, 2)} {
 		if err := tr.Append(time.Duration(i), &packet.Packet{Src: a, Dst: a}); err != nil {
 			t.Fatal(err)
@@ -589,10 +586,10 @@ func TestDecodeAllocsPerChunk(t *testing.T) {
 
 // longTraceForBench generates dur of background traffic — enough
 // records that a small-chunk encoding spans dozens of chunks.
-func longTraceForBench(b *testing.B, dur time.Duration) *Trace {
+func longTraceForBench(b *testing.B, dur time.Duration) *memTrace {
 	b.Helper()
 	sim := simtime.New(21)
-	rec := NewRecorder(sim, "bench-long")
+	tr, rec := newMemRecorder(sim, "bench-long")
 	eps := traffic.Endpoints{
 		External: []packet.Addr{packet.IPv4(203, 0, 1, 1)},
 		Cluster:  []packet.Addr{packet.IPv4(10, 1, 1, 1), packet.IPv4(10, 1, 1, 2)},
@@ -605,7 +602,10 @@ func longTraceForBench(b *testing.B, dur time.Duration) *Trace {
 	sim.RunUntil(dur)
 	gen.Stop()
 	sim.Run()
-	return rec.Trace()
+	if err := rec.Err(); err != nil {
+		b.Fatal(err)
+	}
+	return tr
 }
 
 func BenchmarkStreamEncode(b *testing.B) {
@@ -725,7 +725,7 @@ func BenchmarkReplayLiveHeap(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := Replay(sim, loaded, 0, 1, emit); err != nil {
+			if err := flatReplay(sim, loaded, 0, emit); err != nil {
 				b.Fatal(err)
 			}
 			sim.Run()
@@ -739,7 +739,7 @@ func BenchmarkReplayLiveHeap(b *testing.B) {
 				b.Fatal(err)
 			}
 			pr := NewPipelinedReader(rd, 2)
-			rs, err := ReplayReader(sim, pr, 0, 1, emit)
+			rs, err := ReplayReader(sim, pr, 0, emit)
 			if err != nil {
 				b.Fatal(err)
 			}

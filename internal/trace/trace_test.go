@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -14,10 +16,71 @@ import (
 	"repro/internal/traffic"
 )
 
-func sampleTrace(t *testing.T) *Trace {
+// memTrace is the materialized reference the streaming paths are
+// checked against: a packet timeline and its ground truth held in
+// memory. It is an Appender, so a StreamRecorder captures into it.
+type memTrace struct {
+	// Records are sorted by At (Append enforces monotonicity).
+	Records   []Record
+	Incidents []attack.Incident
+	Profile   string
+	Seed      int64
+}
+
+// Append adds a record, enforcing time order.
+func (t *memTrace) Append(at time.Duration, p *packet.Packet) error {
+	if n := len(t.Records); n > 0 && at < t.Records[n-1].At {
+		return fmt.Errorf("trace: record at %v violates time order (last %v)", at, t.Records[n-1].At)
+	}
+	t.Records = append(t.Records, Record{At: at, Pk: p})
+	return nil
+}
+
+// Duration returns the trace's time span.
+func (t *memTrace) Duration() time.Duration {
+	if len(t.Records) == 0 {
+		return 0
+	}
+	return t.Records[len(t.Records)-1].At - t.Records[0].At
+}
+
+// WriteStream encodes the whole trace through the IDT2 Writer.
+func (t *memTrace) WriteStream(w io.Writer) error {
+	sw, err := NewWriter(w, t.Profile, t.Seed)
+	if err != nil {
+		return err
+	}
+	for _, r := range t.Records {
+		if err := sw.Append(r.At, r.Pk); err != nil {
+			return err
+		}
+	}
+	sw.SetIncidents(t.Incidents)
+	return sw.Close()
+}
+
+// newMemRecorder captures into a memTrace stamped with sim's clock.
+func newMemRecorder(sim *simtime.Sim, profile string) (*memTrace, *StreamRecorder) {
+	tr := &memTrace{Profile: profile, Seed: sim.Seed()}
+	return tr, NewStreamRecorder(sim, tr)
+}
+
+// flatReplay is the reference replay ReplayReader is checked against:
+// every record is scheduled up front with sim.ScheduleAt, the first at
+// start and the rest at their original offsets from it.
+func flatReplay(sim *simtime.Sim, t *memTrace, start time.Duration, emit func(p *packet.Packet)) error {
+	for _, rec := range t.Records {
+		if _, err := sim.ScheduleAt(start+rec.At-t.Records[0].At, func() { emit(rec.Pk) }); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func sampleTrace(t *testing.T) *memTrace {
 	t.Helper()
 	sim := simtime.New(21)
-	rec := NewRecorder(sim, "ecommerce-edge")
+	tr, rec := newMemRecorder(sim, "ecommerce-edge")
 	seq := &packet.SeqCounter{}
 	eps := traffic.Endpoints{
 		External: []packet.Addr{packet.IPv4(203, 0, 1, 1)},
@@ -38,8 +101,11 @@ func sampleTrace(t *testing.T) *Trace {
 	sim.RunUntil(5 * time.Second)
 	gen.Stop()
 	sim.Run()
-	rec.SetIncidents(camp.Incidents())
-	return rec.Trace()
+	if err := rec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	tr.Incidents = camp.Incidents()
+	return tr
 }
 
 func TestRecorderCapturesMixedTraffic(t *testing.T) {
@@ -64,17 +130,31 @@ func TestRecorderCapturesMixedTraffic(t *testing.T) {
 	}
 }
 
+// TestAppendEnforcesTimeOrder checks the Appender contract on every
+// sink a StreamRecorder can feed: an earlier timestamp is rejected, an
+// equal one is accepted.
 func TestAppendEnforcesTimeOrder(t *testing.T) {
-	var tr Trace
-	p := &packet.Packet{}
-	if err := tr.Append(time.Second, p); err != nil {
+	var buf bytes.Buffer
+	sw, err := NewWriter(&buf, "p", 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Append(500*time.Millisecond, p); err == nil {
-		t.Fatal("out-of-order append accepted")
+	sinks := map[string]Appender{
+		"idt2":  sw,
+		"jsonl": NewJSONLWriter(io.Discard, "p", 1),
+		"mem":   &memTrace{},
 	}
-	if err := tr.Append(time.Second, p); err != nil {
-		t.Fatalf("equal-time append rejected: %v", err)
+	for name, a := range sinks {
+		p := &packet.Packet{}
+		if err := a.Append(time.Second, p); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := a.Append(500*time.Millisecond, p); err == nil {
+			t.Fatalf("%s: out-of-order append accepted", name)
+		}
+		if err := a.Append(time.Second, p); err != nil {
+			t.Fatalf("%s: equal-time append rejected: %v", name, err)
+		}
 	}
 }
 
@@ -121,7 +201,7 @@ func TestNewReaderRejectsGarbage(t *testing.T) {
 }
 
 // writeJSONL encodes tr through the streaming JSONL writer.
-func writeJSONL(t testing.TB, tr *Trace) (*bytes.Buffer, StreamStats) {
+func writeJSONL(t testing.TB, tr *memTrace) (*bytes.Buffer, StreamStats) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewJSONLWriter(&buf, tr.Profile, tr.Seed)
@@ -155,25 +235,36 @@ func TestJSONLIncludesTruthAndTrailer(t *testing.T) {
 
 func TestReplayPreservesOrderAndPacing(t *testing.T) {
 	tr := sampleTrace(t)
+	rd, err := NewReader(bytes.NewReader(encodeStream(t, tr, 50)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sim := simtime.New(1)
 	var times []time.Duration
-	var pkts []*packet.Packet
-	if err := Replay(sim, tr, time.Second, 1, func(p *packet.Packet) {
+	var seqs []uint64
+	rs, err := ReplayReader(sim, rd, time.Second, func(p *packet.Packet) {
 		times = append(times, sim.Now())
-		pkts = append(pkts, p)
-	}); err != nil {
+		seqs = append(seqs, p.Seq)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	sim.Run()
-	if len(pkts) != len(tr.Records) {
-		t.Fatalf("replayed %d of %d packets", len(pkts), len(tr.Records))
+	if err := rs.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(times) != len(tr.Records) {
+		t.Fatalf("replayed %d of %d packets", len(times), len(tr.Records))
 	}
 	if times[0] != time.Second {
 		t.Fatalf("first packet at %v, want 1s", times[0])
 	}
-	for i := 1; i < len(times); i++ {
-		if times[i] < times[i-1] {
-			t.Fatal("replay out of order")
+	for i := range times {
+		if seqs[i] != tr.Records[i].Pk.Seq {
+			t.Fatalf("emit %d is seq %d, want %d: replay out of order", i, seqs[i], tr.Records[i].Pk.Seq)
+		}
+		if i == 0 {
+			continue
 		}
 		wantGap := tr.Records[i].At - tr.Records[i-1].At
 		if gotGap := times[i] - times[i-1]; gotGap != wantGap {
@@ -182,28 +273,14 @@ func TestReplayPreservesOrderAndPacing(t *testing.T) {
 	}
 }
 
-func TestReplaySpeedupCompressesTime(t *testing.T) {
-	tr := sampleTrace(t)
-	sim := simtime.New(1)
-	var last time.Duration
-	if err := Replay(sim, tr, 0, 4, func(p *packet.Packet) { last = sim.Now() }); err != nil {
-		t.Fatal(err)
-	}
-	sim.Run()
-	want := time.Duration(float64(tr.Duration()) / 4)
-	// Integer rounding of per-record offsets may shave nanoseconds.
-	if diff := last - want; diff < -time.Microsecond || diff > time.Microsecond {
-		t.Fatalf("replay span %v, want ~%v", last, want)
-	}
-}
-
 func TestReplayValidation(t *testing.T) {
 	sim := simtime.New(1)
-	if err := Replay(sim, &Trace{}, 0, 1, nil); err == nil {
-		t.Fatal("nil emit accepted")
+	rd, err := NewReader(bytes.NewReader(encodeStream(t, &memTrace{}, DefaultChunkRecords)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := Replay(sim, &Trace{}, 0, 1, func(p *packet.Packet) {}); err != nil {
-		t.Fatalf("empty trace should be a no-op, got %v", err)
+	if _, err := ReplayReader(sim, rd, 0, nil); err == nil {
+		t.Fatal("nil emit accepted")
 	}
 }
 
@@ -220,7 +297,7 @@ func TestPropertyBinaryRoundTrip(t *testing.T) {
 		if mal {
 			p.Truth = packet.Label{Malicious: true, AttackID: "a", Technique: "t"}
 		}
-		tr := &Trace{Profile: "p", Seed: 9}
+		tr := &memTrace{Profile: "p", Seed: 9}
 		if err := tr.Append(time.Second, p); err != nil {
 			return false
 		}
@@ -242,10 +319,10 @@ func TestPropertyBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func sampleTraceForBench(b testing.TB) *Trace {
+func sampleTraceForBench(b testing.TB) *memTrace {
 	b.Helper()
 	sim := simtime.New(21)
-	rec := NewRecorder(sim, "bench")
+	tr, rec := newMemRecorder(sim, "bench")
 	eps := traffic.Endpoints{
 		External: []packet.Addr{packet.IPv4(203, 0, 1, 1)},
 		Cluster:  []packet.Addr{packet.IPv4(10, 1, 1, 1), packet.IPv4(10, 1, 1, 2)},
@@ -258,13 +335,16 @@ func sampleTraceForBench(b testing.TB) *Trace {
 	sim.RunUntil(3 * time.Second)
 	gen.Stop()
 	sim.Run()
-	return rec.Trace()
+	if err := rec.Err(); err != nil {
+		b.Fatal(err)
+	}
+	return tr
 }
 
 func TestSummarizeEmptyTrace(t *testing.T) {
 	// Both writers summarize an empty trace as all zeros, and the IDT2
 	// footer carries that summary back.
-	var empty Trace
+	var empty memTrace
 	_, jstats := writeJSONL(t, &empty)
 	rd, err := NewReader(bytes.NewReader(encodeStream(t, &empty, DefaultChunkRecords)))
 	if err != nil {
@@ -278,9 +358,8 @@ func TestSummarizeEmptyTrace(t *testing.T) {
 }
 
 func TestWriteStreamRejectsOversizeStrings(t *testing.T) {
-	tr := &Trace{Profile: strings.Repeat("x", 70000)}
 	var buf bytes.Buffer
-	if err := tr.WriteStream(&buf); err == nil {
+	if _, err := NewWriter(&buf, strings.Repeat("x", 70000), 0); err == nil {
 		t.Fatal("oversized profile string accepted")
 	}
 }
